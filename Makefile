@@ -1,9 +1,9 @@
 # Local verification targets, kept in lock-step with .github/workflows/ci.yml
 # so "make <target>" locally reproduces exactly what CI gates on.
 
-.PHONY: all build test lint fmt bench-smoke perf-smoke arch-gate profile-smoke perf-full proptest-deep serve-smoke chaos clean
+.PHONY: all build test lint fmt bench-smoke perf-smoke arch-gate profile-smoke perf-full proptest-deep serve-smoke chaos perfbench-check clean
 
-all: build test lint bench-smoke perf-smoke profile-smoke serve-smoke chaos
+all: build test lint bench-smoke perf-smoke profile-smoke serve-smoke chaos perfbench-check
 
 # CI job: build (release)
 build:
@@ -108,6 +108,16 @@ chaos:
 		--bench-binary target/release/fig11_speedup \
 		--serve-binary target/release/dmt-serve \
 		--out artifacts/chaos-smoke
+
+# CI job: perfbench — build the benchmark program (its own Cargo
+# workspace, so `make build` never compiles it), then run every workload
+# once, untraced and traced, through perfbench/run.sh and check its
+# correctness line, metric names and units. Both steps share run.sh's
+# build directory, so the self-check reuses the first build.
+perfbench-check:
+	CARGO_TARGET_DIR=.bench_build cargo build --release --locked --offline \
+		--manifest-path perfbench/Cargo.toml
+	CARGO_TARGET_DIR=.bench_build python3 perfbench/selfcheck.py
 
 clean:
 	cargo clean

@@ -11,9 +11,8 @@ the previous push's artifact (persisted by CI as
 ``artifacts/trajectory/baseline-hotpath.json``, the way
 ``baseline-smoke.json`` backs ``bench_regress.py``). Fails (exit 1) when
 the gated architecture's throughput fell below ``--min-ratio`` of the
-baseline — by default a >5% MT-CGRA regression, the architecture the
-edge-batched delivery work targets; the other architectures print
-informationally. Skips cleanly (exit 0, message) when the baseline is
+baseline — by default a >5% MT-CGRA regression; the other
+architectures print informationally. Skips cleanly (exit 0, message) when the baseline is
 missing, unreadable, or predates the ``archs`` block — the first run of
 a fresh repository has nothing to compare against.
 
@@ -81,18 +80,13 @@ def main():
     failed = False
     ratio = new.get("mt_vs_sm_slowdown")
     if isinstance(ratio, (int, float)) and ratio > 0:
-        mode = ""
-        mt = new.get("archs", {}).get("mt_cgra")
-        if isinstance(mt, dict) and isinstance(mt.get("fire_mode"), str):
-            mode = (f" (fire {mt['fire_mode']}, "
-                    f"delivery {mt.get('delivery_mode', '?')})")
         if ratio > args.max_mt_sm_ratio:
             print(f"arch gate: mt_vs_sm_slowdown {ratio:.2f}x exceeds the "
-                  f"{args.max_mt_sm_ratio:.2f}x ceiling{mode}", file=sys.stderr)
+                  f"{args.max_mt_sm_ratio:.2f}x ceiling", file=sys.stderr)
             failed = True
         else:
             print(f"  mt_vs_sm_slowdown {ratio:.2f}x within the "
-                  f"{args.max_mt_sm_ratio:.2f}x ceiling{mode}")
+                  f"{args.max_mt_sm_ratio:.2f}x ceiling")
     else:
         print("arch gate: artifact has no mt_vs_sm_slowdown; "
               "skipping the absolute ceiling")

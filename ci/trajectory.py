@@ -17,9 +17,8 @@ wall-clock measurement from ``bench_hotpath`` (sim-cycles/sec and the
 speedup over the vendored pre-overhaul baseline, plus — from schema-v2
 hotpath artifacts — per-architecture sim-cycles/sec and the MT-CGRA/SM
 throughput ratio, the history ``ci/arch_gate.py`` gates against from
-this push forward; schema-v3 artifacts add the active fire/delivery
-modes and the fire-loop share per fabric arch under ``modes``; both
-schemas are accepted and older rows simply lack the newer keys). This
+this push forward; schema-v3 artifacts add the fire-loop share per
+fabric arch under ``fire_event_share``; both schemas are accepted and older rows simply lack the newer keys). This
 is informational — wall time depends on the runner host — and never
 gates the trajectory append itself; ``bench_regress.py`` gates on
 deterministic cycles only.
@@ -93,20 +92,15 @@ def main():
                     for name, rec in archs.items()
                     if isinstance(rec, dict)
                 }
-                # Schema-v3: active fire/delivery modes and the fire-loop
-                # share estimate per fabric arch (v2 rows lack the keys).
-                modes = {
-                    name: {
-                        k: rec[k]
-                        for k in ("fire_mode", "delivery_mode", "fire_event_share")
-                        if k in rec
-                    }
+                # Schema-v3: the fire-loop share estimate per fabric arch
+                # (v2 rows lack the key).
+                shares = {
+                    name: rec["fire_event_share"]
                     for name, rec in archs.items()
-                    if isinstance(rec, dict)
+                    if isinstance(rec, dict) and "fire_event_share" in rec
                 }
-                modes = {n: m for n, m in modes.items() if m}
-                if modes:
-                    hotpath["modes"] = modes
+                if shares:
+                    hotpath["fire_event_share"] = shares
             if isinstance(doc.get("mt_vs_sm_slowdown"), (int, float)):
                 hotpath["mt_vs_sm_slowdown"] = doc["mt_vs_sm_slowdown"]
         except (OSError, json.JSONDecodeError) as e:

@@ -87,6 +87,13 @@ pub struct CalendarQueue<T> {
     cur_lane: VecDeque<T>,
     /// Far-future events, drained into the wheel as `now` advances.
     overflow: BinaryHeap<Reverse<Overflow<T>>>,
+    /// Buffers of drained wheel buckets, handed to the next bucket that
+    /// fills. A bucket holds an allocation only while it holds events,
+    /// so the wheel's memory follows the buckets in use rather than
+    /// every slot's high-water mark — without this, a burst of N events
+    /// per cycle leaves an N-entry buffer in each of the
+    /// `WHEEL_HORIZON` slots as time sweeps the ring.
+    spare: Vec<VecDeque<T>>,
     /// Monotonic insertion counter; makes overflow ordering total.
     seq: u64,
     /// The engine's current cycle, as last reported via
@@ -117,6 +124,7 @@ impl<T> CalendarQueue<T> {
             next_lane: VecDeque::new(),
             cur_lane: VecDeque::new(),
             overflow: BinaryHeap::new(),
+            spare: Vec::new(),
             seq: 0,
             now: 0,
             len: 0,
@@ -147,14 +155,29 @@ impl<T> CalendarQueue<T> {
         (at & (WHEEL_HORIZON - 1)) as usize
     }
 
+    /// Appends `item` to wheel bucket `slot`, marking it occupied and
+    /// giving it a recycled buffer when it was empty.
     #[inline]
-    fn mark(&mut self, slot: usize) {
-        self.occupied[slot / 64] |= 1 << (slot % 64);
+    fn push_wheel(&mut self, slot: usize, item: T) {
+        let bit = 1u64 << (slot % 64);
+        if self.occupied[slot / 64] & bit == 0 {
+            self.occupied[slot / 64] |= bit;
+            if let Some(buf) = self.spare.pop() {
+                self.wheel[slot] = buf;
+            }
+        }
+        self.wheel[slot].push_back(item);
     }
 
+    /// Marks the drained bucket `slot` free and parks its buffer for
+    /// reuse.
     #[inline]
-    fn unmark(&mut self, slot: usize) {
+    fn release(&mut self, slot: usize) {
         self.occupied[slot / 64] &= !(1 << (slot % 64));
+        let buf = std::mem::take(&mut self.wheel[slot]);
+        if buf.capacity() > 0 {
+            self.spare.push(buf);
+        }
     }
 
     /// Schedules `item` at cycle `at`.
@@ -170,9 +193,7 @@ impl<T> CalendarQueue<T> {
         if at == self.now + 1 {
             self.next_lane.push_back(item);
         } else if at.saturating_sub(self.now) < WHEEL_HORIZON {
-            let slot = Self::slot_of(at);
-            self.wheel[slot].push_back(item);
-            self.mark(slot);
+            self.push_wheel(Self::slot_of(at), item);
         } else {
             self.overflow.push(Reverse(Overflow {
                 time: at,
@@ -204,9 +225,7 @@ impl<T> CalendarQueue<T> {
                 break;
             }
             let Reverse(ev) = self.overflow.pop().expect("peeked");
-            let slot = Self::slot_of(ev.time);
-            self.wheel[slot].push_back(ev.item);
-            self.mark(slot);
+            self.push_wheel(Self::slot_of(ev.time), ev.item);
         }
     }
 
@@ -222,11 +241,11 @@ impl<T> CalendarQueue<T> {
             if let Some(item) = self.wheel[slot].pop_front() {
                 self.len -= 1;
                 if self.wheel[slot].is_empty() {
-                    self.unmark(slot);
+                    self.release(slot);
                 }
                 return Some(item);
             }
-            self.unmark(slot);
+            self.release(slot);
         }
         let item = self.cur_lane.pop_front();
         if item.is_some() {
@@ -238,16 +257,14 @@ impl<T> CalendarQueue<T> {
     /// Drains every event due at the current cycle (set via
     /// [`CalendarQueue::advance`]) into `out`, preserving FIFO order —
     /// equivalent to popping [`CalendarQueue::pop_due`] until `None`,
-    /// but with one occupancy-bitmap update for the whole bucket. Added
-    /// for the fabric engine's batched delivery pass, which collects a
-    /// cycle's entries before dispatching them.
+    /// but with one occupancy-bitmap update for the whole bucket.
     pub fn drain_due_into(&mut self, out: &mut Vec<T>) {
         let slot = Self::slot_of(self.now);
         if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
             let bucket = &mut self.wheel[slot];
             self.len -= bucket.len();
             out.extend(bucket.drain(..));
-            self.unmark(slot);
+            self.release(slot);
         }
         self.len -= self.cur_lane.len();
         out.extend(self.cur_lane.drain(..));
@@ -455,6 +472,27 @@ mod tests {
         assert_eq!(out, vec![2, 3, 1]);
         assert_eq!(q.next_time(), Some(t + 1));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn drained_buckets_recycle_their_buffers() {
+        // A 64-event burst two cycles ahead, every cycle, sweeps the
+        // whole ring several times; only the few buckets in flight may
+        // hold buffers, not every slot the burst ever touched.
+        let mut q = CalendarQueue::new();
+        for now in 0..4 * WHEEL_HORIZON {
+            q.advance(now);
+            while q.pop_due().is_some() {}
+            for v in 0..64u32 {
+                q.schedule(now + 2, v);
+            }
+        }
+        let held = q.wheel.iter().filter(|b| b.capacity() > 0).count();
+        assert!(
+            held + q.spare.len() <= 3,
+            "{held} buckets + {} spares",
+            q.spare.len()
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod program;
 #[doc(hidden)]
 pub mod testutil;
 
-pub use machine::{DeliveryMode, FabricMachine, FabricRunResult, FireMode, BATCH_MIN_REPLICATION};
+pub use machine::{FabricMachine, FabricRunResult, BATCH_MIN_REPLICATION};
 pub use program::{Coord, FabricProgram, PhaseProgram};
 
 #[cfg(test)]

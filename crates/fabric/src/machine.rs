@@ -44,47 +44,30 @@
 //!   cycle, a bitmask tracks nodes with complete operand sets; firing
 //!   iterates set bits in ascending node order (the same order the full
 //!   scan used), so drained nodes cost nothing.
-//! * **Edge-batched token delivery.** On highly replicated graphs a
-//!   firing node's fan-out does not schedule one calendar event per
-//!   token: all tokens crossing the same `(edge, arrival cycle)` coalesce
-//!   into one calendar entry carrying an SoA payload (parallel
-//!   seq/tid/value arrays, pooled in the [`StoreArena`] like the rings
-//!   above), so a replicated graph pays the calendar once per edge per
-//!   cycle instead of once per thread. Delivery preserves the **per-edge
-//!   FIFO invariant**: every logical event is stamped with its global
-//!   schedule sequence number, a batch's payload is appended in schedule
-//!   order (strictly ascending seq), and at delivery each node's due
-//!   in-edge batches are merged back into ascending-seq order — so every
-//!   matching store observes its tokens in exactly the order the
-//!   per-token engine delivered them, and operand sets complete (and
-//!   fire) in the same order. Deliveries to *different* nodes touch
-//!   disjoint matching-store state and commute, which is why the
-//!   per-node merge is sufficient for byte-identical results;
-//!   bookkeeping events (releases, sink completions, the eLDST
-//!   offer/produce hops) stay per-token and are processed in schedule
-//!   order among themselves. A batch holds at most `R` tokens (a node
-//!   fires ≤ R ops per cycle and an edge's hop delay is fixed), so
-//!   coalescing only amortizes its slab/merge overhead past a
-//!   replication threshold ([`BATCH_MIN_REPLICATION`]); below it the
-//!   engine delivers per token — the same mechanism, batch length 1 —
-//!   which the bucket-wheel calendar already makes cheap. Both paths are
-//!   forceable (`DMT_BATCHED_DELIVERY=1` / `DMT_UNBATCHED_DELIVERY=1`,
-//!   [`FabricMachine::with_batched_delivery`] /
-//!   [`FabricMachine::with_unbatched_delivery`]) and differentially
-//!   tested cycle- and byte-identical against each other
-//!   (`tests/properties.rs`, `tests/token_storm.rs`).
+//! * **Per-token delivery.** Every token a firing fans out is one
+//!   calendar event, and so is every bookkeeping event (unit releases,
+//!   sink completions, the eLDST offer/produce hops). Events due in one
+//!   cycle are handled in schedule order, so every matching store
+//!   observes its tokens in per-edge FIFO order. Each event is exactly
+//!   one calendar entry, which makes the pending-event count a
+//!   conservation law the engine asserts every cycle in debug builds
+//!   (`seq − handled == calendar length`). Coalescing each `(edge,
+//!   arrival cycle)` into one batched calendar entry was tried and lost:
+//!   on the benchmark's `grid_sweep` workload (2-core host, traced, 3
+//!   rounds) it took MT-CGRA engine time to 698–775 ms against 499–645 ms
+//!   per token, for the same work.
 //! * **Block-fired compute nodes.** A replicated node holds up to `R`
 //!   ready operand sets per cycle, all executing the *same static
 //!   operation* — the paper's premise, and what makes block execution
-//!   legal. When block firing is engaged ([`FireMode`]; auto-enabled at
-//!   the same [`BATCH_MIN_REPLICATION`] threshold as delivery), a pure
-//!   compute node (`Alu`/`Fpu`/`Special`/`Ctrl`/`Unary`/`Select`/`Join`/
-//!   `Split`) drains its whole firing quota into reused SoA scratch and
-//!   evaluates it in one tight loop with the `NodeKind` dispatch, the
-//!   unit-class/latency lookup, the stat-counter increment and the
-//!   `Obs::node_fire` upkeep hoisted out per block; results enter the
-//!   delivery path through one batch append per out-edge instead of one
-//!   `send` per token. Two invariants make this exact:
+//!   legal. On programs compiled at replication ≥
+//!   [`BATCH_MIN_REPLICATION`], a pure compute node (`Alu`/`Fpu`/
+//!   `Special`/`Ctrl`/`Unary`/`Select`/`Join`/`Split`) drains its whole
+//!   firing quota into reused SoA scratch and evaluates it in one tight
+//!   loop with the `NodeKind` dispatch, the unit-class/latency lookup,
+//!   the stat-counter increment and the `Obs::node_fire` upkeep hoisted
+//!   out per block; results fan out edge-major through one
+//!   `send_block` call instead of one `send` per token. Two invariants
+//!   make this exact:
 //!   - *Same-cycle readiness cannot change mid-block.* All deliveries
 //!     due in a cycle complete (step 1 of the cycle loop) before any
 //!     node fires (step 3), and every token a firing emits lands at
@@ -100,15 +83,17 @@
 //!     Pure nodes can never stall, which is why only they block-fire —
 //!     a drained block always completes.
 //!
-//!   Within one block, seqs are assigned edge-major instead of
-//!   token-major; each per-edge stream still carries strictly ascending
-//!   seqs in token order, and the whole block occupies the same
-//!   contiguous seq range the per-token fire loop would have used, so
-//!   every consumer's per-node merge (and therefore every output byte)
-//!   is unchanged. Both paths are forceable (`DMT_BATCHED_FIRE=1` /
-//!   `DMT_UNBATCHED_FIRE=1`, [`FabricMachine::with_modes`]) and the full
-//!   fire × delivery mode grid is differentially tested byte-identical
-//!   (`tests/properties.rs`, `tests/token_storm.rs`).
+//!   Edge-major fan-out reorders a block's tokens *across* edges, never
+//!   along one: each edge's stream stays in tid order, deliveries to
+//!   different nodes touch disjoint matching-store state and commute,
+//!   and an operand set completes when its last port's token arrives, in
+//!   that port's stream order either way. The choice is made from the
+//!   program's replication alone, with no user knob. Below the threshold
+//!   a ready block is at most a few tokens deep and the per-token loop is
+//!   faster. `dmt_fabric::testutil::run_with_block_fire` forces either
+//!   path so the tests can check both produce identical memory,
+//!   statistics and profiles (`tests/properties.rs`,
+//!   `tests/token_storm.rs`).
 //!
 //! Ring allocations are pooled per launch ([`StoreArena`]): a multi-phase
 //! kernel re-initializes the previous phase's buffers instead of paying an
@@ -140,119 +125,15 @@ pub struct FabricRunResult {
     pub stats: RunStats,
 }
 
-/// Minimum program replication at which edge batching is engaged by
-/// default. A batch carries at most `R` tokens (one fire per replica per
-/// cycle, fixed per-edge hop delay), while its fixed overhead — slab
-/// alloc/free, a calendar entry, the per-cycle grouping sort, and the
-/// per-node seq merge — is roughly an order of magnitude more than one
-/// bucket-wheel push. Measured on the smoke suite, batching loses ~10%
-/// at R = 3–5 and wins clearly from R ≈ 8 up; below the threshold the
-/// per-token path (identical results) is used.
+/// Minimum program replication at which pure compute nodes block-fire
+/// (see the module docs). A ready block holds at most `R` operand sets,
+/// so below this the drain-into-scratch overhead outweighs the hoisted
+/// per-token work. On the benchmark's `grid_sweep` workload (2-core
+/// host, traced runs) forcing every node per-token raised the MT-CGRA
+/// engine's median `run_ms` to ~646 ms from ~572 ms with block-fire
+/// engaged at R ≥ 8; forcing block-fire on across Table 3 (every job at
+/// R 1–5) cost MT +5–19% and dMT +9–23%.
 pub const BATCH_MIN_REPLICATION: u32 = 8;
-
-/// How tokens are scheduled for delivery (see the module docs; results
-/// are byte-identical in every mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// Batch when `replication ≥ BATCH_MIN_REPLICATION`, else per token.
-    #[default]
-    Auto,
-    /// Always coalesce per-edge batches.
-    Batched,
-    /// Always schedule one calendar event per token (reference path).
-    Unbatched,
-}
-
-impl DeliveryMode {
-    /// Resolves the mode from `DMT_BATCHED_DELIVERY` /
-    /// `DMT_UNBATCHED_DELIVERY` (the batched flag wins if both are set),
-    /// defaulting to the profitability-gated [`DeliveryMode::Auto`].
-    #[must_use]
-    pub fn from_env() -> DeliveryMode {
-        if env_flag("DMT_BATCHED_DELIVERY") {
-            DeliveryMode::Batched
-        } else if env_flag("DMT_UNBATCHED_DELIVERY") {
-            DeliveryMode::Unbatched
-        } else {
-            DeliveryMode::Auto
-        }
-    }
-
-    /// Whether this mode coalesces batches for a program of the given
-    /// replication.
-    #[must_use]
-    pub fn batched_for(self, replication: u32) -> bool {
-        match self {
-            DeliveryMode::Batched => true,
-            DeliveryMode::Unbatched => false,
-            DeliveryMode::Auto => replication >= BATCH_MIN_REPLICATION,
-        }
-    }
-
-    /// The stable artifact key for the path taken at `replication`
-    /// (`"batched"` / `"per_token"` — what `bench_hotpath` records).
-    #[must_use]
-    pub fn key_for(self, replication: u32) -> &'static str {
-        if self.batched_for(replication) {
-            "batched"
-        } else {
-            "per_token"
-        }
-    }
-}
-
-/// How ready operand sets are fired (see the module docs; results are
-/// byte-identical in every mode). Only pure compute nodes ever
-/// block-fire — memory, eLDST and elevator nodes stay per-token in
-/// every mode because they can stall mid-quota.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FireMode {
-    /// Block-fire when `replication ≥ BATCH_MIN_REPLICATION`, else per
-    /// token.
-    #[default]
-    Auto,
-    /// Always block-fire pure compute nodes.
-    Batched,
-    /// Always fire one operation at a time (reference path).
-    Unbatched,
-}
-
-impl FireMode {
-    /// Resolves the mode from `DMT_BATCHED_FIRE` / `DMT_UNBATCHED_FIRE`
-    /// (the batched flag wins if both are set), defaulting to the
-    /// profitability-gated [`FireMode::Auto`].
-    #[must_use]
-    pub fn from_env() -> FireMode {
-        if env_flag("DMT_BATCHED_FIRE") {
-            FireMode::Batched
-        } else if env_flag("DMT_UNBATCHED_FIRE") {
-            FireMode::Unbatched
-        } else {
-            FireMode::Auto
-        }
-    }
-
-    /// Whether this mode block-fires a program of the given replication.
-    #[must_use]
-    pub fn batched_for(self, replication: u32) -> bool {
-        match self {
-            FireMode::Batched => true,
-            FireMode::Unbatched => false,
-            FireMode::Auto => replication >= BATCH_MIN_REPLICATION,
-        }
-    }
-
-    /// The stable artifact key for the path taken at `replication`
-    /// (`"batched"` / `"per_token"` — what `bench_hotpath` records).
-    #[must_use]
-    pub fn key_for(self, replication: u32) -> &'static str {
-        if self.batched_for(replication) {
-            "batched"
-        } else {
-            "per_token"
-        }
-    }
-}
 
 /// The CGRA core simulator. Construct once per configuration and run
 /// compiled programs on it.
@@ -264,53 +145,14 @@ impl FireMode {
 #[derive(Debug, Clone)]
 pub struct FabricMachine {
     cfg: SystemConfig,
-    fire: FireMode,
-    delivery: DeliveryMode,
 }
 
 impl FabricMachine {
     /// Creates a machine with the given configuration (Table 2 defaults via
     /// `SystemConfig::default()`).
-    ///
-    /// Delivery and firing default to the profitability-gated automatic
-    /// modes; `DMT_BATCHED_DELIVERY=1` / `DMT_UNBATCHED_DELIVERY=1` and
-    /// `DMT_BATCHED_FIRE=1` / `DMT_UNBATCHED_FIRE=1` force one path
-    /// (the batched flag wins if both are set).
     #[must_use]
     pub fn new(cfg: SystemConfig) -> FabricMachine {
-        FabricMachine::with_modes(cfg, FireMode::from_env(), DeliveryMode::from_env())
-    }
-
-    /// A machine with explicit fire and delivery modes, bypassing the
-    /// environment knobs — what the mode-grid differential tests use.
-    /// Outputs, statistics and cycle counts are identical across all
-    /// mode combinations; only simulator wall-clock differs.
-    #[must_use]
-    pub fn with_modes(cfg: SystemConfig, fire: FireMode, delivery: DeliveryMode) -> FabricMachine {
-        FabricMachine {
-            cfg,
-            fire,
-            delivery,
-        }
-    }
-
-    /// A machine that schedules one calendar event per token instead of
-    /// coalescing per-edge batches — the reference delivery path the
-    /// batched engine is differentially tested against (also reachable
-    /// via `DMT_UNBATCHED_DELIVERY=1`). Firing still resolves from the
-    /// environment; use [`FabricMachine::with_modes`] to pin both axes.
-    #[must_use]
-    pub fn with_unbatched_delivery(cfg: SystemConfig) -> FabricMachine {
-        FabricMachine::with_modes(cfg, FireMode::from_env(), DeliveryMode::Unbatched)
-    }
-
-    /// A machine that always coalesces per-edge batches, regardless of
-    /// the program's replication (also reachable via
-    /// `DMT_BATCHED_DELIVERY=1`). Firing still resolves from the
-    /// environment; use [`FabricMachine::with_modes`] to pin both axes.
-    #[must_use]
-    pub fn with_batched_delivery(cfg: SystemConfig) -> FabricMachine {
-        FabricMachine::with_modes(cfg, FireMode::from_env(), DeliveryMode::Batched)
+        FabricMachine { cfg }
     }
 
     /// The machine's configuration.
@@ -367,6 +209,22 @@ impl FabricMachine {
         obs: &mut Obs,
         limits: &RunLimits<'_>,
     ) -> Result<FabricRunResult> {
+        let block_fire = program.replication >= BATCH_MIN_REPLICATION;
+        self.run_engine(program, input, obs, limits, block_fire)
+    }
+
+    /// [`FabricMachine::run_limited`] with the fire path chosen by the
+    /// caller instead of by replication (see the module docs);
+    /// `testutil::run_with_block_fire` exposes it to the equivalence
+    /// tests.
+    pub(crate) fn run_engine(
+        &self,
+        program: &FabricProgram,
+        input: LaunchInput,
+        obs: &mut Obs,
+        limits: &RunLimits<'_>,
+        block_fire: bool,
+    ) -> Result<FabricRunResult> {
         if input.params.len() != program.param_count {
             return Err(Error::Runtime(format!(
                 "program {} expects {} parameters, got {}",
@@ -415,8 +273,7 @@ impl FabricMachine {
                 program.grid_blocks,
                 &mut arena,
                 obs,
-                self.fire,
-                self.delivery,
+                block_fire,
             );
             now = exec.run(
                 &mut global,
@@ -440,12 +297,6 @@ impl FabricMachine {
             stats: RunStats::from_phases(per_phase),
         })
     }
-}
-
-/// True when the environment variable `name` is set to something other
-/// than `""`, `"0"` or `"false"`.
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"))
 }
 
 /// The run's cumulative counters at one instant: everything accumulated in
@@ -479,9 +330,6 @@ fn cumulative_snapshot(
 struct StoreArena {
     match_rings: Vec<Vec<MatchSlot>>,
     eldst_rings: Vec<Vec<EldstSlot>>,
-    /// Cleared [`TokenBatch`]es with retained payload capacity, recycled
-    /// across phases exactly like the rings.
-    token_batches: Vec<TokenBatch>,
     /// Block-firing SoA scratch (tids + results), pooled likewise.
     fire_scratch: FireScratch,
 }
@@ -536,34 +384,6 @@ enum Ev {
     Release { node: NodeId },
     /// A sink operation of `tid` completed.
     SinkDone { tid: u32 },
-    /// A coalesced per-`(edge, cycle)` token batch is due: index into
-    /// `PhaseExec::batches` (batched delivery only; never scheduled on
-    /// the per-token reference path). Folding the reference into [`Ev`]
-    /// keeps calendar entries at the per-token engine's 16 bytes.
-    Batch { batch: u32 },
-}
-
-/// All tokens crossing one `(edge, arrival cycle)`, coalesced into a
-/// single calendar entry with an SoA payload. `seqs` is strictly
-/// ascending: tokens are appended in schedule order, which is what the
-/// delivery merge relies on (see the module docs).
-#[derive(Debug, Default)]
-struct TokenBatch {
-    /// Destination node of the edge.
-    node: u32,
-    /// Destination operand port of the edge.
-    port: u8,
-    seqs: Vec<u64>,
-    tids: Vec<u32>,
-    vals: Vec<Word>,
-}
-
-impl TokenBatch {
-    fn clear(&mut self) {
-        self.seqs.clear();
-        self.tids.clear();
-        self.vals.clear();
-    }
 }
 
 /// One CSR out-edge: destination node/port and the precomputed arrival
@@ -573,35 +393,6 @@ struct EdgeOut {
     node: u32,
     port: u8,
     delta: u64,
-}
-
-/// Per-edge coalescing state: the batch currently accepting tokens for
-/// the edge, valid only while `cycle` is still in the future. A consumed
-/// batch's entry goes stale harmlessly — its `cycle` is in the past and
-/// new arrivals always land at `now + 1` or later, so it can never match.
-#[derive(Debug, Clone, Copy)]
-struct OpenBatch {
-    cycle: u64,
-    batch: u32,
-}
-
-impl OpenBatch {
-    const CLOSED: OpenBatch = OpenBatch {
-        cycle: u64::MAX,
-        batch: 0,
-    };
-}
-
-/// A due batch's delivery cursor for one cycle's merge pass; the payload
-/// stays in the slab and is read in place. `node` and `seq0` (the head
-/// token's seq) are copied out at drain time so the grouping sort never
-/// chases into the slab.
-#[derive(Debug, Clone, Copy)]
-struct DueCursor {
-    id: u32,
-    pos: u32,
-    node: u32,
-    seq0: u64,
 }
 
 /// Tag marking a matching-store or eLDST ring slot as free.
@@ -674,7 +465,7 @@ struct FireMeta {
 }
 
 /// The `RunStats` operation counter a unit class increments per firing
-/// (hoisted per block on the batched path).
+/// (hoisted per block on the block-fire path).
 fn class_counter(stats: &mut RunStats, class: UnitClass) -> &mut u64 {
     match class {
         UnitClass::Alu => &mut stats.alu_ops,
@@ -730,20 +521,18 @@ struct PhaseExec<'a> {
     /// `ring_size − 1` for the power-of-two matching-store rings.
     ring_mask: u32,
     events: CalendarQueue<Ev>,
-    /// Global schedule sequence: one increment per *logical* event (each
-    /// token and each bookkeeping event), batched or not. Doubles as the
-    /// scheduled-event total the profile reports.
+    /// Global schedule sequence: one increment per event (each token and
+    /// each bookkeeping event). Doubles as the scheduled-event total the
+    /// profile reports.
     seq: u64,
-    /// Logical events handled so far; `seq − handled` is the pending
-    /// logical depth the cycle samples report (token-denominated, so
-    /// batching is invisible to the observability layer).
+    /// Events handled so far; `seq − handled` is the pending depth the
+    /// cycle samples report, and equals the calendar's length at every
+    /// cycle boundary (asserted in debug builds).
     handled: u64,
-    /// Per-token reference delivery (no coalescing); see the module docs.
-    unbatched: bool,
     /// Block-fire pure compute nodes (drain a node's ready block into
     /// [`FireScratch`] and evaluate it in one tight loop); see the
     /// module docs.
-    batched_fire: bool,
+    block_fire: bool,
     /// Block-firing SoA scratch, pooled across phases via [`StoreArena`].
     fire_scratch: FireScratch,
     /// `edge_base[n]` = id of node `n`'s first out-edge; edge `(n, i)`
@@ -755,18 +544,6 @@ struct PhaseExec<'a> {
     out_edges: Vec<EdgeOut>,
     /// Per-node Σ hops over out-edges (bulk NoC-hop accounting in `send`).
     hops_sum: Vec<u64>,
-    /// Per-edge open batch (indexed by edge id).
-    open: Vec<OpenBatch>,
-    /// Batch slab; `Ev::Batch` holds indices into it. Payloads are read
-    /// in place during delivery and cleared in place afterwards — no
-    /// per-cycle moves.
-    batches: Vec<TokenBatch>,
-    /// Free slab slots (their payload capacity is retained in place).
-    free_batches: Vec<u32>,
-    /// Spare cleared batches (arena-pooled across phases).
-    batch_pool: Vec<TokenBatch>,
-    /// Per-cycle scratch: due batches with merge cursors.
-    due_batches: Vec<DueCursor>,
     now: u64,
     next_inject: u32,
     retire_floor: u32,
@@ -801,8 +578,7 @@ impl<'a> PhaseExec<'a> {
         blocks_covered: u32,
         arena: &mut StoreArena,
         obs: &'a mut Obs,
-        fire: FireMode,
-        delivery: DeliveryMode,
+        block_fire: bool,
     ) -> PhaseExec<'a> {
         let n = phase.graph.len();
         let threads = program.threads_per_block() * blocks_covered;
@@ -885,7 +661,7 @@ impl<'a> PhaseExec<'a> {
         for id in phase.graph.node_ids() {
             // Single-operand nodes never match: a token is an operand set
             // by itself, so delivery bypasses the ring (see
-            // `deliver_into`) and no ring is allocated.
+            // `PhaseExec::deliver`) and no ring is allocated.
             let needs_store = meta[id.index()].arity > 1;
             let is_eldst = matches!(phase.graph.kind(id), NodeKind::ELoad { .. });
             units.push(UnitState {
@@ -943,29 +719,11 @@ impl<'a> PhaseExec<'a> {
             events: CalendarQueue::new(),
             seq: 0,
             handled: 0,
-            // Batching only amortizes its overhead when batches are deep
-            // enough (≤ R tokens each — a producer fires at most R ops
-            // per cycle and an edge's hop delay is fixed); below the
-            // threshold the per-token path delivers identical results
-            // faster. See `BATCH_MIN_REPLICATION`.
-            unbatched: match delivery {
-                DeliveryMode::Batched => false,
-                DeliveryMode::Unbatched => true,
-                DeliveryMode::Auto => program.replication < BATCH_MIN_REPLICATION,
-            },
-            // Block firing amortizes the same way delivery batching does
-            // (a ready block is at most R deep), so it shares the same
-            // profitability threshold.
-            batched_fire: fire.batched_for(program.replication),
+            block_fire,
             fire_scratch: std::mem::take(&mut arena.fire_scratch),
             edge_base,
             out_edges,
             hops_sum,
-            open: vec![OpenBatch::CLOSED; edges as usize],
-            batches: Vec::new(),
-            free_batches: Vec::new(),
-            batch_pool: std::mem::take(&mut arena.token_batches),
-            due_batches: Vec::new(),
             now: start,
             next_inject: 0,
             retire_floor: 0,
@@ -988,33 +746,8 @@ impl<'a> PhaseExec<'a> {
         self.events.schedule(at.max(self.now + 1), ev);
     }
 
-    /// A batch slab slot for the given destination, reusing payload
-    /// capacity from the free list or the arena pool.
-    fn alloc_batch(&mut self, node: u32, port: u8) -> u32 {
-        let id = match self.free_batches.pop() {
-            Some(id) => id,
-            None => {
-                let id = self.batches.len() as u32;
-                self.batches.push(self.batch_pool.pop().unwrap_or_default());
-                id
-            }
-        };
-        let b = &mut self.batches[id as usize];
-        debug_assert!(b.seqs.is_empty(), "allocated batch not cleared");
-        b.node = node;
-        b.port = port;
-        id
-    }
-
     /// Fans `value` out from `node` to all consumers, booking NoC hops.
     /// `base` is the cycle the producing unit's result is available.
-    ///
-    /// Each token appends to its edge's open batch when one is already
-    /// headed for the same arrival cycle; otherwise a fresh batch opens
-    /// and a single calendar entry is scheduled for the whole coalesced
-    /// payload. An edge can legitimately have several batches due at one
-    /// cycle (arrival times are not monotonic on load edges); the
-    /// delivery merge orders them by seq.
     fn send(&mut self, node: NodeId, tid: u32, value: Word, base: u64, stats: &mut RunStats) {
         let ix = node.index();
         let first = self.edge_base[ix] as usize;
@@ -1040,36 +773,15 @@ impl<'a> PhaseExec<'a> {
         }
         for eid in first..last {
             let e = self.out_edges[eid];
-            let arrival = (base + e.delta).max(self.now + 1);
-            self.seq += 1;
-            if self.unbatched {
-                self.events.schedule(
-                    arrival,
-                    Ev::Deliver {
-                        node: NodeId(e.node),
-                        port: e.port,
-                        tid,
-                        value,
-                    },
-                );
-                continue;
-            }
-            let slot = self.open[eid];
-            let id = if slot.cycle == arrival {
-                slot.batch
-            } else {
-                let id = self.alloc_batch(e.node, e.port);
-                self.open[eid] = OpenBatch {
-                    cycle: arrival,
-                    batch: id,
-                };
-                self.events.schedule(arrival, Ev::Batch { batch: id });
-                id
-            };
-            let b = &mut self.batches[id as usize];
-            b.seqs.push(self.seq);
-            b.tids.push(tid);
-            b.vals.push(value);
+            self.schedule(
+                base + e.delta,
+                Ev::Deliver {
+                    node: NodeId(e.node),
+                    port: e.port,
+                    tid,
+                    value,
+                },
+            );
         }
     }
 
@@ -1214,138 +926,63 @@ impl<'a> PhaseExec<'a> {
         self.active[ix / 64] |= 1 << (ix % 64);
     }
 
+    /// Writes one token into `node`'s matching store, queueing the
+    /// operand set for firing when the token completes it.
     fn deliver(&mut self, node: NodeId, port: u8, tid: u32, value: Word, stats: &mut RunStats) {
+        debug_assert_ne!(tid, EMPTY_TAG, "tid collides with the empty-slot tag");
         stats.token_buffer_writes += 1;
         let ix = node.index();
-        if deliver_into(
-            &mut self.units[ix],
-            self.obs,
-            self.meta[ix].arity,
-            self.ring_mask,
-            self.now,
-            node.0,
-            port,
-            tid,
-            value,
-        ) {
-            self.ready_total += 1;
-            self.mark_active(ix);
-        }
-    }
-
-    /// Delivers a run of one batch's tokens — `pos` up to (exclusive) the
-    /// first seq ≥ `limit` — with the unit borrow, arity, and ring mask
-    /// hoisted out of the per-token loop. Returns the new cursor.
-    fn deliver_batch_run(
-        &mut self,
-        id: u32,
-        mut pos: usize,
-        limit: u64,
-        stats: &mut RunStats,
-    ) -> usize {
-        let b = &self.batches[id as usize];
-        let ix = b.node as usize;
-        let port = b.port;
         let arity = self.meta[ix].arity;
-        let mask = self.ring_mask;
-        let now = self.now;
-        let len = b.tids.len();
         let unit = &mut self.units[ix];
-        let obs = &mut *self.obs;
-        let start = pos;
-        let mut completed = 0u32;
-        if limit == u64::MAX {
-            // Whole-batch sweep (no competing stream): seqs untouched.
-            while pos < len {
-                completed += u32::from(deliver_into(
-                    unit,
-                    obs,
-                    arity,
-                    mask,
-                    now,
-                    b.node,
-                    port,
-                    b.tids[pos],
-                    b.vals[pos],
-                ));
-                pos += 1;
-            }
+        if arity == 1 {
+            // A single-operand token is a complete set by itself: the ring
+            // claim/free pair would cancel before the next occupancy
+            // sample, so the store is bypassed entirely (and never
+            // allocated).
+            let mut ops = [Word::ZERO; 3];
+            ops[port as usize] = value;
+            unit.ready.push_back((tid, ops));
         } else {
-            while pos < len && b.seqs[pos] < limit {
-                completed += u32::from(deliver_into(
-                    unit,
-                    obs,
-                    arity,
-                    mask,
-                    now,
-                    b.node,
-                    port,
-                    b.tids[pos],
-                    b.vals[pos],
-                ));
-                pos += 1;
-            }
-        }
-        stats.token_buffer_writes += (pos - start) as u64;
-        if completed > 0 {
-            self.ready_total += completed;
-            self.mark_active(ix);
-        }
-        pos
-    }
-
-    /// Delivers every batch due this cycle, restoring per-node schedule
-    /// order: batches are grouped by destination node and each group's
-    /// streams are merged by ascending seq (deliveries to different nodes
-    /// commute — see the module docs). The common case — one due batch
-    /// per node — is a straight SoA sweep with no merge at all.
-    fn deliver_due(&mut self, due: &mut [DueCursor], stats: &mut RunStats) {
-        if due.len() > 1 {
-            due.sort_unstable_by_key(|c| (c.node, c.seq0));
-        }
-        let mut i = 0;
-        while i < due.len() {
-            let node = due[i].node;
-            let mut j = i + 1;
-            while j < due.len() && due[j].node == node {
-                j += 1;
-            }
-            if j - i == 1 {
-                self.deliver_batch_run(due[i].id, 0, u64::MAX, stats);
+            let si = (tid & self.ring_mask) as usize;
+            // Resolve the slot for `tid`: its ring slot, its spill entry,
+            // or a fresh claim (ring when free, spill when occupied by
+            // another tid). A tid must never hold both a ring slot and a
+            // spill entry, so a spilled tid is looked up before an empty
+            // ring slot is claimed.
+            let ring_hit = unit.pending[si].tag == tid;
+            let slot: &mut MatchSlot = if ring_hit {
+                &mut unit.pending[si]
+            } else if !unit.spill.is_empty() && unit.spill.contains_key(&tid) {
+                unit.spill.get_mut(&tid).expect("present")
+            } else if unit.pending[si].tag == EMPTY_TAG {
+                self.obs.ring_claim();
+                let s = &mut unit.pending[si];
+                s.tag = tid;
+                s
             } else {
-                self.deliver_merged(&mut due[i..j], stats);
-            }
-            i = j;
-        }
-    }
-
-    /// Merges one node's due in-edge batches by seq: repeatedly run the
-    /// stream with the earliest head token up to the runner-up's head.
-    /// Groups are bounded by the node's in-degree (operand arity ≤ 3), so
-    /// a linear min scan beats any heap.
-    fn deliver_merged(&mut self, group: &mut [DueCursor], stats: &mut RunStats) {
-        loop {
-            let mut best = usize::MAX;
-            let mut best_seq = u64::MAX;
-            let mut limit = u64::MAX;
-            for (k, c) in group.iter().enumerate() {
-                let b = &self.batches[c.id as usize];
-                if let Some(&s) = b.seqs.get(c.pos as usize) {
-                    if s < best_seq {
-                        limit = best_seq;
-                        best_seq = s;
-                        best = k;
-                    } else {
-                        limit = limit.min(s);
-                    }
-                }
-            }
-            if best == usize::MAX {
+                self.obs.spill(StoreKind::Match, self.now, node.0);
+                unit.spill.entry(tid).or_insert(MatchSlot {
+                    tag: tid,
+                    ..MatchSlot::EMPTY
+                })
+            };
+            debug_assert_eq!(slot.filled & (1 << port), 0, "duplicate operand");
+            slot.filled |= 1 << port;
+            slot.ops[port as usize] = value;
+            if slot.filled.count_ones() < u32::from(arity) {
                 return;
             }
-            let (id, pos) = (group[best].id, group[best].pos as usize);
-            group[best].pos = self.deliver_batch_run(id, pos, limit, stats) as u32;
+            let ops = slot.ops;
+            if ring_hit || unit.pending[si].tag == tid {
+                unit.pending[si] = MatchSlot::EMPTY;
+                self.obs.ring_free();
+            } else {
+                unit.spill.remove(&tid);
+            }
+            unit.ready.push_back((tid, ops));
         }
+        self.ready_total += 1;
+        self.mark_active(ix);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1374,7 +1011,7 @@ impl<'a> PhaseExec<'a> {
                 let ix = w * 64 + bit;
                 let node = NodeId(ix as u32);
                 let meta = self.meta[ix];
-                if self.batched_fire && meta.pure {
+                if self.block_fire && meta.pure {
                     // Pure compute never stalls: the whole quota-bounded
                     // block fires in one tight loop with dispatch,
                     // latency, stat and obs upkeep hoisted out (see the
@@ -1470,12 +1107,10 @@ impl<'a> PhaseExec<'a> {
 
     /// [`PhaseExec::send`] for a whole result block: fans every
     /// `(tids[i], vals[i])` token out from `node`, with the edge walk
-    /// hoisted outside the token loop (edge-major). Per-edge streams stay
-    /// strictly ascending in seq and all tokens share one arrival cycle
-    /// per edge, so on the batched delivery path each out-edge costs one
-    /// open-batch probe and one bulk append; results are byte-identical
-    /// to `count` per-token sends (see the module docs for the seq
-    /// commutation argument).
+    /// hoisted outside the token loop (edge-major). Each edge's stream
+    /// stays in token order and shares one arrival cycle, so results are
+    /// byte-identical to `count` per-token sends (see the module docs for
+    /// the commutation argument).
     fn send_block(
         &mut self,
         node: NodeId,
@@ -1492,9 +1127,9 @@ impl<'a> PhaseExec<'a> {
         if first == last {
             let at = base.max(self.now + 1);
             for &tid in tids {
-                self.seq += 1;
                 self.events.schedule(at, Ev::SinkDone { tid });
             }
+            self.seq += count as u64;
             return;
         }
         stats.tokens_routed += ((last - first) * count) as u64;
@@ -1508,42 +1143,19 @@ impl<'a> PhaseExec<'a> {
         for eid in first..last {
             let e = self.out_edges[eid];
             let arrival = (base + e.delta).max(self.now + 1);
-            if self.unbatched {
-                for i in 0..count {
-                    self.seq += 1;
-                    self.events.schedule(
-                        arrival,
-                        Ev::Deliver {
-                            node: NodeId(e.node),
-                            port: e.port,
-                            tid: tids[i],
-                            value: vals[i],
-                        },
-                    );
-                }
-                continue;
-            }
-            let slot = self.open[eid];
-            let id = if slot.cycle == arrival {
-                slot.batch
-            } else {
-                let id = self.alloc_batch(e.node, e.port);
-                self.open[eid] = OpenBatch {
-                    cycle: arrival,
-                    batch: id,
-                };
-                self.events.schedule(arrival, Ev::Batch { batch: id });
-                id
-            };
-            let b = &mut self.batches[id as usize];
-            b.tids.extend_from_slice(tids);
-            b.vals.extend_from_slice(vals);
-            b.seqs.reserve(count);
-            for _ in 0..count {
-                self.seq += 1;
-                b.seqs.push(self.seq);
+            for (&tid, &value) in tids.iter().zip(vals) {
+                self.events.schedule(
+                    arrival,
+                    Ev::Deliver {
+                        node: NodeId(e.node),
+                        port: e.port,
+                        tid,
+                        value,
+                    },
+                );
             }
         }
+        self.seq += ((last - first) * count) as u64;
     }
 
     /// Removes and returns thread `tid`'s eLDST token-buffer entry at node
@@ -1612,7 +1224,7 @@ impl<'a> PhaseExec<'a> {
             | NodeKind::Split => {
                 // Arity, class and latency come from the precomputed
                 // per-node table — no `NodeKind` re-match or latency
-                // re-read per token, batched or not.
+                // re-read per token.
                 let meta = self.meta[node.index()];
                 let value = eval_pure(kind, &ops[..usize::from(meta.arity)]);
                 *class_counter(stats, meta.class) += 1;
@@ -1936,15 +1548,6 @@ impl<'a> PhaseExec<'a> {
                 arena.eldst_rings.push(std::mem::take(&mut unit.eldst));
             }
         }
-        // Batch payload buffers ride the same pool (a drained phase has
-        // consumed and cleared every batch, so slab entries are empty).
-        arena.token_batches.append(&mut self.batch_pool);
-        for mut b in self.batches.drain(..) {
-            debug_assert!(b.seqs.is_empty(), "batch survived its phase");
-            b.clear();
-            arena.token_batches.push(b);
-        }
-        self.free_batches.clear();
         arena.fire_scratch = std::mem::take(&mut self.fire_scratch);
     }
 
@@ -1970,28 +1573,12 @@ impl<'a> PhaseExec<'a> {
             // the cycle boundary so a timed-out run stops deterministically
             // at the same simulated cycle on every host.
             limits.check(self.now)?;
-            // 1. Deliver everything due this cycle. Single (bookkeeping)
-            // events run immediately in pop order — which is schedule
-            // order among themselves — while token batches are set aside
-            // and then merged back into per-node schedule order. The two
-            // classes touch disjoint state and deliveries create no
-            // events, so this matches the per-token engine byte for byte.
+            // 1. Deliver everything due this cycle, in schedule order.
             self.events.advance(self.now);
-            let mut due = std::mem::take(&mut self.due_batches);
             let mut handled = 0u64;
             while let Some(ev) = self.events.pop_due() {
                 handled += 1;
                 match ev {
-                    Ev::Batch { batch } => {
-                        handled -= 1; // counted per token when freed below
-                        let b = &self.batches[batch as usize];
-                        due.push(DueCursor {
-                            id: batch,
-                            pos: 0,
-                            node: b.node,
-                            seq0: b.seqs[0],
-                        });
-                    }
                     Ev::Deliver {
                         node,
                         port,
@@ -2012,32 +1599,26 @@ impl<'a> PhaseExec<'a> {
                 }
             }
             self.handled += handled;
-            if !due.is_empty() {
-                self.deliver_due(&mut due, stats);
-                for c in due.drain(..) {
-                    let b = &mut self.batches[c.id as usize];
-                    self.handled += b.seqs.len() as u64;
-                    b.clear();
-                    self.free_batches.push(c.id);
-                }
-            }
-            self.due_batches = due;
+            // Conservation: every scheduled event is either handled or
+            // still on the calendar, one entry each.
+            debug_assert_eq!(
+                self.seq,
+                self.handled + self.events.len() as u64,
+                "events leaked or double-counted at cycle {}",
+                self.now
+            );
             // 2. Inject new threads.
             self.inject(stats);
             // 3. Fire ready units (one op per unit per cycle).
             self.fire_all(global, shared_imgs, mem, scratch, lvc, stats)?;
             // 4. Done?
             if self.complete() {
-                debug_assert_eq!(self.seq, self.handled, "logical events leaked");
                 self.obs.calendar_scheduled(self.seq);
                 return Ok(self.now);
             }
             // 5. Observe. Disabled handles reduce both calls to one
             // branch each; the counter gathering runs only at sample
-            // boundaries of an enabled handle. Calendar depth counts
-            // pending *logical* events (tokens, not batch entries), so
-            // the profile and samples are identical with and without
-            // edge batching.
+            // boundaries of an enabled handle.
             self.obs.calendar_depth(self.seq - self.handled);
             if self.obs.due(self.now) {
                 let (l1_fills, l2_fills) = mem.fill_counts();
@@ -2077,72 +1658,6 @@ impl<'a> PhaseExec<'a> {
             }
         }
     }
-}
-
-/// Writes one token into `unit`'s matching store and returns whether it
-/// completed an operand set (pushed to `unit.ready`). A free function so
-/// batch sweeps can hoist the unit borrow and per-node lookups out of
-/// their token loop; `PhaseExec::deliver` wraps it for singles.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn deliver_into(
-    unit: &mut UnitState,
-    obs: &mut Obs,
-    arity: u8,
-    mask: u32,
-    now: u64,
-    node: u32,
-    port: u8,
-    tid: u32,
-    value: Word,
-) -> bool {
-    debug_assert_ne!(tid, EMPTY_TAG, "tid collides with the empty-slot tag");
-    if arity == 1 {
-        // A single-operand token is a complete set by itself: the ring
-        // claim/free pair would cancel before the next occupancy sample,
-        // so the store is bypassed entirely (and never allocated).
-        let mut ops = [Word::ZERO; 3];
-        ops[port as usize] = value;
-        unit.ready.push_back((tid, ops));
-        return true;
-    }
-    let si = (tid & mask) as usize;
-    // Resolve the slot for `tid`: its ring slot, its spill entry, or a
-    // fresh claim (ring when free, spill when occupied by another tid).
-    // A tid must never hold both a ring slot and a spill entry, so a
-    // spilled tid is looked up before an empty ring slot is claimed.
-    let ring_hit = unit.pending[si].tag == tid;
-    let slot: &mut MatchSlot = if ring_hit {
-        &mut unit.pending[si]
-    } else if !unit.spill.is_empty() && unit.spill.contains_key(&tid) {
-        unit.spill.get_mut(&tid).expect("present")
-    } else if unit.pending[si].tag == EMPTY_TAG {
-        obs.ring_claim();
-        let s = &mut unit.pending[si];
-        s.tag = tid;
-        s
-    } else {
-        obs.spill(StoreKind::Match, now, node);
-        unit.spill.entry(tid).or_insert(MatchSlot {
-            tag: tid,
-            ..MatchSlot::EMPTY
-        })
-    };
-    debug_assert_eq!(slot.filled & (1 << port), 0, "duplicate operand");
-    slot.filled |= 1 << port;
-    slot.ops[port as usize] = value;
-    if slot.filled.count_ones() == u32::from(arity) {
-        let ops = slot.ops;
-        if ring_hit || unit.pending[si].tag == tid {
-            unit.pending[si] = MatchSlot::EMPTY;
-            obs.ring_free();
-        } else {
-            unit.spill.remove(&tid);
-        }
-        unit.ready.push_back((tid, ops));
-        return true;
-    }
-    false
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

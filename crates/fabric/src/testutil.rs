@@ -1,12 +1,17 @@
-//! Naive kernel → program lowering for tests and examples.
+//! Test and example helpers: naive kernel → program lowering, and a hook
+//! that forces the engine's fire path.
 //!
-//! This bypasses the real compiler (`dmt-compiler`): no capacity checks, no
-//! cascading, no placement optimization — every node is dropped onto the
-//! grid row-major. Useful for exercising the machine in isolation; real
-//! users should compile with `dmt-compiler`.
+//! [`naive_program`] bypasses the real compiler (`dmt-compiler`): no
+//! capacity checks, no cascading, no placement optimization — every node
+//! is dropped onto the grid row-major. Useful for exercising the machine
+//! in isolation; real users should compile with `dmt-compiler`.
 
+use crate::machine::{FabricMachine, FabricRunResult};
 use crate::program::{Coord, FabricProgram, PhaseProgram};
+use dmt_common::{Result, RunLimits};
+use dmt_dfg::kernel::LaunchInput;
 use dmt_dfg::Kernel;
+use dmt_obs::Obs;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Lowers a kernel with identity transforms and row-major placement on a
@@ -50,4 +55,23 @@ pub fn naive_program(kernel: &Kernel, width: u32) -> FabricProgram {
         replication: 1,
         phases,
     }
+}
+
+/// Runs `program` with block-fire forced on or off, whatever its
+/// replication — the hook the fire-path equivalence tests use (the
+/// public API picks the path from replication alone; see
+/// [`crate::BATCH_MIN_REPLICATION`]).
+///
+/// # Errors
+///
+/// As [`FabricMachine::run`].
+#[doc(hidden)]
+pub fn run_with_block_fire(
+    machine: &FabricMachine,
+    program: &FabricProgram,
+    input: LaunchInput,
+    obs: &mut Obs,
+    block_fire: bool,
+) -> Result<FabricRunResult> {
+    machine.run_engine(program, input, obs, &RunLimits::unlimited(), block_fire)
 }

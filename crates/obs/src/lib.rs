@@ -55,10 +55,7 @@ pub struct CycleSample {
     pub injected: u64,
     /// Threads retired so far.
     pub retired: u64,
-    /// Scheduled deliveries currently pending, in *tokens*: an engine
-    /// that coalesces several tokens into one calendar entry still
-    /// reports every token, so the series is identical whether or not
-    /// delivery is batched.
+    /// Scheduled events currently pending (one calendar entry each).
     pub calendar: u64,
     /// Operand sets queued at firing units.
     pub ready: u64,
@@ -181,7 +178,7 @@ impl Obs {
     /// Records `count` firings of `node` in one call — what the
     /// block-firing fabric engine reports, so a node's whole ready block
     /// costs the same bookkeeping as a single per-token firing.
-    /// Aggregates are count-denominated, so batched and per-token
+    /// Aggregates are count-denominated, so block and per-token
     /// reporting produce identical windows and profiles.
     #[inline]
     pub fn node_fires(&mut self, node: u32, count: u64) {

@@ -599,6 +599,7 @@ mod tests {
 
     #[test]
     fn store_then_lookup_round_trips_both_outcome_kinds() {
+        let _faults = crate::fault_free();
         let cache = Cache::open(tmp_dir("roundtrip")).unwrap();
         let ok_spec = spec("scan", Arch::DmtCgra, 1);
         let inf_spec = spec("reduce", Arch::DmtCgra, 1);
@@ -626,6 +627,7 @@ mod tests {
 
     #[test]
     fn transient_and_timed_out_outcomes_are_never_persisted() {
+        let _faults = crate::fault_free();
         let cache = Cache::open(tmp_dir("no_persist")).unwrap();
         let s = spec("scan", Arch::DmtCgra, 1);
         cache
@@ -648,6 +650,7 @@ mod tests {
 
     #[test]
     fn degraded_handle_counts_misses_and_skipped_stores_without_io() {
+        let _faults = crate::fault_free();
         let parent = tmp_dir("degraded_parent");
         // A *file* where the cache directory should go: create_dir_all
         // fails, so open degrades instead of erroring.
@@ -705,6 +708,7 @@ mod tests {
 
     #[test]
     fn absent_corrupt_and_mismatched_entries_all_miss() {
+        let _faults = crate::fault_free();
         let cache = Cache::open(tmp_dir("defects")).unwrap();
         let s = spec("scan", Arch::DmtCgra, 1);
 
@@ -751,6 +755,7 @@ mod tests {
 
     #[test]
     fn cost_index_keeps_max_cycles_per_point_and_skips_junk() {
+        let _faults = crate::fault_free();
         let cache = Cache::open(tmp_dir("index")).unwrap();
         cache
             .store(&spec("scan", Arch::DmtCgra, 1), &ok_outcome(100))

@@ -78,6 +78,13 @@ pub use hash::{config_hash, StableHasher};
 pub use job::{JobMetrics, JobOutcome, JobSpec};
 pub use plan::{panic_message, ExecPlan};
 pub use pool::run_indexed;
-#[allow(deprecated)]
-pub use pool::{run_jobs, run_jobs_cached, run_scheduled};
 pub use progress::Progress;
+
+/// Holds the process-global fault registry empty for a test's lifetime.
+/// Tests whose code crosses a failpoint seam (cache I/O, plan execution)
+/// take this guard: it serializes them with the fault-injection tests,
+/// which would otherwise lose their `nth=` hits to a concurrent test.
+#[cfg(test)]
+pub(crate) fn fault_free() -> dmt_common::faults::FaultGuard {
+    dmt_common::faults::install_guarded(dmt_common::faults::FaultPlan::empty())
+}

@@ -1,9 +1,6 @@
 //! The one way to execute a job grid: the [`ExecPlan`] builder.
 //!
-//! Three generations of positional entry points (`run_jobs`,
-//! `run_jobs_cached`, `run_scheduled` — each adding one more parameter
-//! to the previous signature) collapsed into a single builder that both
-//! the CLI binaries and the `dmt-serve` daemon consume:
+//! Both the CLI binaries and the `dmt-serve` daemon consume it:
 //!
 //! ```text
 //! ExecPlan::new(&jobs).threads(n).cache(Some(&c)).progress(Some(&p)).run(exec)
@@ -11,8 +8,7 @@
 //!
 //! Every knob is optional and defaults to the serial, uncached,
 //! unreported run, so the minimal call reads exactly like what it does:
-//! `ExecPlan::new(&jobs).run(exec)`. The execution semantics are
-//! unchanged from the functions it replaces:
+//! `ExecPlan::new(&jobs).run(exec)`. The execution semantics:
 //!
 //! * **deterministic aggregation** — outcomes land by job index, so the
 //!   result vector is byte-identical for any thread count;
@@ -242,6 +238,7 @@ mod tests {
 
     #[test]
     fn outcomes_are_index_ordered_for_any_thread_count() {
+        let _faults = crate::fault_free();
         let grid = jobs(9);
         let serial = ExecPlan::new(&grid).run(exec);
         for threads in [2, 3, 8] {
@@ -252,6 +249,7 @@ mod tests {
 
     #[test]
     fn zero_threads_is_clamped_to_serial() {
+        let _faults = crate::fault_free();
         let grid = jobs(3);
         assert_eq!(
             ExecPlan::new(&grid).threads(0).run(exec),
@@ -261,6 +259,7 @@ mod tests {
 
     #[test]
     fn progress_counts_executed_jobs() {
+        let _faults = crate::fault_free();
         let grid = jobs(4);
         let p = Progress::new(false);
         let _ = ExecPlan::new(&grid).progress(Some(&p)).run(exec);
@@ -269,6 +268,7 @@ mod tests {
 
     #[test]
     fn cached_plan_skips_hits_executes_misses_and_persists() {
+        let _faults = crate::fault_free();
         let dir = std::env::temp_dir().join(format!("dmt_plan_cache_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -306,6 +306,7 @@ mod tests {
 
     #[test]
     fn progress_ticker_counts_only_misses_on_a_warm_cache() {
+        let _faults = crate::fault_free();
         let dir = std::env::temp_dir().join(format!("dmt_plan_prog_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = Cache::open(&dir).unwrap();
@@ -322,6 +323,7 @@ mod tests {
 
     #[test]
     fn panicking_executor_fails_only_its_job() {
+        let _faults = crate::fault_free();
         let grid = jobs(5);
         for threads in [1, 4] {
             let outcomes = ExecPlan::new(&grid).threads(threads).run(|spec: &JobSpec| {
@@ -365,6 +367,7 @@ mod tests {
 
     #[test]
     fn cancelled_plan_fails_jobs_via_the_token() {
+        let _faults = crate::fault_free();
         use std::sync::atomic::Ordering;
         let token = AtomicBool::new(true); // cancelled before it starts
         let grid = jobs(2);
@@ -386,17 +389,5 @@ mod tests {
     fn plain_run_rejects_limits_it_cannot_enforce() {
         let grid = jobs(1);
         let _ = ExecPlan::new(&grid).deadline_cycles(Some(10)).run(exec);
-    }
-
-    #[test]
-    fn deprecated_shims_match_the_plan() {
-        #![allow(deprecated)]
-        let grid = jobs(5);
-        let planned = ExecPlan::new(&grid).threads(2).run(exec);
-        assert_eq!(crate::pool::run_jobs(&grid, 2, None, exec), planned);
-        assert_eq!(
-            crate::pool::run_jobs_cached(&grid, 2, None, None, exec),
-            planned
-        );
     }
 }

@@ -14,13 +14,8 @@
 //! per item. Simulations are seconds-long, so per-item setup is noise.
 //!
 //! Job-grid execution lives in [`crate::plan::ExecPlan`]; this module
-//! keeps the index-level primitive ([`run_indexed`]) plus deprecated
-//! shims for the pre-`ExecPlan` entry points.
+//! keeps the index-level primitive ([`run_indexed`]).
 
-use crate::job::{JobOutcome, JobSpec};
-use crate::plan::ExecPlan;
-use crate::progress::Progress;
-use crate::Cache;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -112,66 +107,6 @@ where
         .into_iter()
         .map(|s| s.expect("every slot filled"))
         .collect()
-}
-
-/// [`run_indexed`] with an explicit execution schedule.
-///
-/// # Panics
-///
-/// Panics when `order` is not a permutation of `0..n`, and propagates
-/// executor panics like [`run_indexed`].
-#[deprecated(
-    since = "0.1.0",
-    note = "schedules are an ExecPlan implementation detail; use run_indexed or ExecPlan"
-)]
-pub fn run_scheduled<T, F>(n: usize, threads: usize, order: Option<&[usize]>, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_ordered(n, threads, order, f)
-}
-
-/// Executes a job list on the pool and aggregates outcomes by job index.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ExecPlan::new(jobs).threads(n).progress(p).run(exec)"
-)]
-pub fn run_jobs<F>(
-    jobs: &[JobSpec],
-    threads: usize,
-    progress: Option<&Progress>,
-    exec: F,
-) -> Vec<JobOutcome>
-where
-    F: Fn(&JobSpec) -> JobOutcome + Sync,
-{
-    ExecPlan::new(jobs)
-        .threads(threads)
-        .progress(progress)
-        .run(exec)
-}
-
-/// Executes a job list through a content-addressed result cache.
-#[deprecated(
-    since = "0.1.0",
-    note = "use ExecPlan::new(jobs).threads(n).progress(p).cache(c).run(exec)"
-)]
-pub fn run_jobs_cached<F>(
-    jobs: &[JobSpec],
-    threads: usize,
-    progress: Option<&Progress>,
-    cache: Option<&Cache>,
-    exec: F,
-) -> Vec<JobOutcome>
-where
-    F: Fn(&JobSpec) -> JobOutcome + Sync,
-{
-    ExecPlan::new(jobs)
-        .threads(threads)
-        .progress(progress)
-        .cache(cache)
-        .run(exec)
 }
 
 #[cfg(test)]

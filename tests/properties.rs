@@ -9,9 +9,10 @@ use dmt_core::dfg::node::CommConfig;
 use dmt_core::{
     compiler,
     dfg::interp,
-    fabric::{DeliveryMode, FabricMachine, FireMode},
+    fabric::{testutil::run_with_block_fire, FabricMachine},
     Kernel, KernelBuilder, LaunchInput, MemImage, SystemConfig, Word,
 };
+use dmt_obs::Obs;
 use proptest::prelude::*;
 
 fn comm_kernel(delta: i32, window: u32, n: u32) -> Kernel {
@@ -55,12 +56,12 @@ proptest! {
         prop_assert_eq!(run.memory, oracle.memory);
     }
 
-    /// Fabric == interpreter under every fire × delivery mode combination:
-    /// forcing block-fire (below its auto threshold) or per-token paths must
-    /// never change a byte of memory, and all four combinations must agree
-    /// on the cycle-level `RunStats` too — batching is a pure reordering.
+    /// Fabric == interpreter on both fire paths: forcing block-fire (below
+    /// its replication threshold) or per-token firing must never change a
+    /// byte of memory, and the two paths must agree on the cycle-level
+    /// `RunStats` too — block-fire is a pure reordering.
     #[test]
-    fn fire_and_delivery_modes_agree_for_any_comm_pattern(
+    fn fire_paths_agree_for_any_comm_pattern(
         delta in (-24i32..=24).prop_filter("non-zero", |d| *d != 0),
         window_pow in 3u32..=7, // windows 8..=128
         data in proptest::collection::vec(-1000i32..1000, 128),
@@ -76,25 +77,20 @@ proptest! {
         let oracle = interp::run_ref(&kernel, &params, &mem).expect("interp");
         let cfg = SystemConfig::default();
         let program = compiler::compile(&kernel, &cfg).expect("compiles");
-        let mut baseline_stats = None;
-        for fire in [FireMode::Batched, FireMode::Unbatched] {
-            for delivery in [DeliveryMode::Batched, DeliveryMode::Unbatched] {
-                let run = FabricMachine::with_modes(cfg, fire, delivery)
-                    .run(&program, LaunchInput::new(params.clone(), mem.clone()))
-                    .expect("fabric");
-                prop_assert_eq!(
-                    &run.memory, &oracle.memory,
-                    "memory diverged under fire {:?} / delivery {:?}", fire, delivery
-                );
-                match &baseline_stats {
-                    None => baseline_stats = Some(run.stats),
-                    Some(stats) => prop_assert_eq!(
-                        stats, &run.stats,
-                        "stats diverged under fire {:?} / delivery {:?}", fire, delivery
-                    ),
-                }
-            }
+        let machine = FabricMachine::new(cfg);
+        let mut runs = Vec::new();
+        for block_fire in [true, false] {
+            let input = LaunchInput::new(params.clone(), mem.clone());
+            let mut obs = Obs::disabled();
+            let run = run_with_block_fire(&machine, &program, input, &mut obs, block_fire)
+                .expect("fabric");
+            prop_assert_eq!(
+                &run.memory, &oracle.memory,
+                "memory diverged with block_fire={}", block_fire
+            );
+            runs.push(run.stats);
         }
+        prop_assert_eq!(&runs[0], &runs[1], "fire paths disagree on stats");
     }
 
     /// Every thread receives exactly one token from an elevator: either a
@@ -269,13 +265,13 @@ proptest! {
         );
     }
 
-    /// Edge-batched delivery is a pure scheduling change: for arbitrary
-    /// communication patterns and replications (both sides of the
-    /// profitability threshold), the forced-batched and forced-per-token
-    /// engines produce identical memory images and identical statistics —
+    /// Block-fire is a pure scheduling change at every replication: for
+    /// arbitrary communication patterns and replications (both sides of
+    /// `BATCH_MIN_REPLICATION`), forced block-fire and forced per-token
+    /// firing produce identical memory images and identical statistics —
     /// every counter, cycle-exact — and both match the interpreter.
     #[test]
-    fn batched_delivery_is_byte_identical_to_per_token(
+    fn fire_paths_agree_at_any_replication(
         delta in (-6i32..=6).prop_filter("non-zero", |d| *d != 0),
         window_pow in 2u32..=6, // transmission windows 4..=64
         replication in 1u32..=16,
@@ -293,14 +289,15 @@ proptest! {
         let cfg = SystemConfig::default();
         let mut program = compiler::compile(&kernel, &cfg).expect("compiles");
         program.replication = replication;
-        let batched = FabricMachine::with_batched_delivery(cfg)
-            .run(&program, LaunchInput::new(params.clone(), mem.clone()))
-            .expect("batched fabric");
-        let unbatched = FabricMachine::with_unbatched_delivery(cfg)
-            .run(&program, LaunchInput::new(params.clone(), mem.clone()))
-            .expect("unbatched fabric");
-        prop_assert_eq!(&batched.memory, &oracle.memory, "batched diverges from interpreter");
-        prop_assert_eq!(&batched.memory, &unbatched.memory, "delivery paths disagree on memory");
-        prop_assert_eq!(&batched.stats, &unbatched.stats, "delivery paths disagree on stats");
+        let machine = FabricMachine::new(cfg);
+        let run = |block_fire| {
+            let input = LaunchInput::new(params.clone(), mem.clone());
+            run_with_block_fire(&machine, &program, input, &mut Obs::disabled(), block_fire)
+                .expect("fabric")
+        };
+        let (block, per_token) = (run(true), run(false));
+        prop_assert_eq!(&block.memory, &oracle.memory, "block-fire diverges from interpreter");
+        prop_assert_eq!(&block.memory, &per_token.memory, "fire paths disagree on memory");
+        prop_assert_eq!(&block.stats, &per_token.stats, "fire paths disagree on stats");
     }
 }

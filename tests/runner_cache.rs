@@ -33,6 +33,13 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// Holds the process-global fault registry empty for a test's lifetime.
+/// Every test here crosses the cache's failpoint seams, so without this
+/// guard a concurrent test could consume the fault test's `nth=` hits.
+fn fault_free() -> dmt_common::faults::FaultGuard {
+    dmt_common::faults::install_guarded(dmt_common::faults::FaultPlan::empty())
+}
+
 /// Runs the smoke grid through the cache with an instrumented executor,
 /// returning the outcomes and the number of real simulations performed.
 fn smoke_run(jobs: &[JobSpec], cache: &Cache) -> (Vec<JobOutcome>, usize) {
@@ -66,6 +73,7 @@ fn fig11_outputs(jobs: &[JobSpec], outcomes: &[JobOutcome]) -> (String, String) 
 
 #[test]
 fn warm_rerun_simulates_nothing_and_matches_the_cold_run_byte_for_byte() {
+    let _faults = fault_free();
     let dir = scratch("warm");
     let jobs = suite_jobs(SystemConfig::default(), SEED, 3);
 
@@ -105,6 +113,7 @@ fn warm_rerun_simulates_nothing_and_matches_the_cold_run_byte_for_byte() {
 
 #[test]
 fn corrupted_and_truncated_entries_are_ignored_and_recomputed() {
+    let _faults = fault_free();
     let dir = scratch("corrupt");
     let jobs = suite_jobs(SystemConfig::default(), SEED, 3);
 
@@ -143,6 +152,7 @@ fn corrupted_and_truncated_entries_are_ignored_and_recomputed() {
 
 #[test]
 fn v1_cache_entries_are_invalidated_as_miss_and_rewritten_as_v2() {
+    let _faults = fault_free();
     use dmt_runner::artifact::{Json, SCHEMA_VERSION};
 
     let dir = scratch("v1_migration");
@@ -241,6 +251,7 @@ fn artifact_bytes(jobs: &[JobSpec], outcomes: &[JobOutcome]) -> String {
 
 #[test]
 fn unusable_cache_dir_degrades_to_counted_no_cache_operation() {
+    let _faults = fault_free();
     // A *file* where the cache directory should go: `open` would error,
     // `open_or_degraded` hands back a no-I/O handle instead. (Permission
     // bits can't model this under root, which ignores them.)
@@ -328,6 +339,7 @@ fn smoke_run_with(
 
 #[test]
 fn interrupted_run_resumes_only_the_missing_jobs() {
+    let _faults = fault_free();
     let dir = scratch("resume");
 
     // "Interrupted" run: only the first two suite rows ever completed

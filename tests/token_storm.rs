@@ -1,19 +1,19 @@
-//! Token-storm coverage for edge-batched delivery: many threads, a tiny
+//! Token-storm coverage for the MT-CGRA engine: many threads, a tiny
 //! graph, one hot edge.
 //!
 //! A small kernel compiles at the replication cap (16 graph copies), so a
-//! firing load node emits up to 16 tokens per cycle down the *same* edge —
-//! exactly the traffic pattern the edge-batched delivery path in
-//! `dmt-fabric` coalesces into one calendar event per `(edge, cycle)`.
-//! The golden fixture pins the storm's cycles, token counters and output
-//! checksum on all three backends; the differential tests assert the
-//! batched and per-token delivery paths are cycle- and byte-identical
-//! (they share `tests/fixtures/token_storm.golden.txt` regeneration via
-//! `DMT_UPDATE_GOLDEN=1`, like `tests/golden_smoke.rs`).
+//! firing node emits up to 16 tokens per cycle down the *same* edge and
+//! the default machine block-fires its pure compute nodes. The golden
+//! fixture pins the storm's cycles, token counters and output checksum on
+//! all three backends (regenerated with `DMT_UPDATE_GOLDEN=1`, like
+//! `tests/golden_smoke.rs`); the oracle tests check the default machine
+//! against the interpreter, and the fire-path test checks block-fire and
+//! per-token firing are cycle- and byte-identical.
 
 use dmt_core::common::geom::Dim3;
 use dmt_core::common::ids::Addr;
-use dmt_core::fabric::{DeliveryMode, FabricMachine, FireMode, BATCH_MIN_REPLICATION};
+use dmt_core::fabric::testutil::run_with_block_fire;
+use dmt_core::fabric::{FabricMachine, BATCH_MIN_REPLICATION};
 use dmt_core::{
     compiler, dfg::interp, Arch, Kernel, KernelBuilder, LaunchInput, Machine, MemImage,
     SystemConfig, Word,
@@ -25,10 +25,10 @@ const THREADS: u32 = 512;
 /// `out[tid] = tid*tid + tid` over a five-node graph: the thread-id value
 /// fans out to both multiplier inputs, the adder and the address
 /// computation, so each of its out-edges carries one token per thread —
-/// `THREADS` tokens through a handful of edges, the storm the batcher
-/// must keep in per-edge FIFO order. Deliberately store-only: a single
-/// load/store unit keeps the graph tiny enough to replicate past the
-/// batching threshold (`storm_compiles_past_the_batching_threshold`).
+/// `THREADS` tokens through a handful of edges, which delivery must keep
+/// in per-edge FIFO order. Deliberately store-only: a single load/store
+/// unit keeps the graph tiny enough to replicate past the block-fire
+/// threshold (`storm_compiles_past_the_batching_threshold`).
 fn storm_kernel() -> Kernel {
     let mut kb = KernelBuilder::new("token_storm", Dim3::linear(THREADS));
     let out = kb.param("out");
@@ -73,8 +73,7 @@ fn check_or_update(got: &str, want: &str, fixture: &str) {
 }
 
 /// The storm on all three backends, pinned byte-for-byte: simulated
-/// cycles, the token-traffic counters the batcher touches, and the
-/// output checksum.
+/// cycles, the token-traffic counters, and the output checksum.
 #[test]
 fn storm_report_is_byte_identical_to_fixture() {
     let kernel = storm_kernel();
@@ -106,115 +105,100 @@ fn storm_report_is_byte_identical_to_fixture() {
 }
 
 /// The storm graph is small enough to replicate at the cap, which is past
-/// the profitability threshold — the default (Auto) machine really does
-/// take the batched path on this fixture.
+/// the block-fire threshold — the default machine really does block-fire
+/// on this fixture.
 #[test]
 fn storm_compiles_past_the_batching_threshold() {
     let cfg = SystemConfig::default();
     let program = compiler::compile(&storm_kernel(), &cfg).expect("compiles");
     assert!(
         program.replication >= BATCH_MIN_REPLICATION,
-        "storm replication {} is below the batching threshold {}; the \
-         fixture no longer exercises edge-batched delivery",
+        "storm replication {} is below the block-fire threshold {}; the \
+         fixture no longer exercises block-fire",
         program.replication,
         BATCH_MIN_REPLICATION
     );
 }
 
-/// Forced-batched and forced-per-token delivery agree with each other —
-/// and with the functional interpreter — on memory, statistics (every
-/// counter, per phase) and cycles.
-#[test]
-fn batched_and_unbatched_delivery_are_byte_identical() {
-    let kernel = storm_kernel();
+/// Runs `kernel` on the default machine and checks its memory image
+/// against the functional interpreter.
+fn assert_matches_interpreter(name: &str, kernel: &Kernel, params: Vec<Word>, mem: MemImage) {
     let cfg = SystemConfig::default();
-    let program = compiler::compile(&kernel, &cfg).expect("compiles");
-    let (params, mem) = storm_input();
-
-    let oracle = interp::run_ref(&kernel, &params, &mem).expect("interp");
-    let batched = FabricMachine::with_batched_delivery(cfg)
-        .run(&program, LaunchInput::new(params.clone(), mem.clone()))
-        .expect("batched run");
-    let unbatched = FabricMachine::with_unbatched_delivery(cfg)
+    let program = compiler::compile(kernel, &cfg).expect("compiles");
+    let oracle = interp::run_ref(kernel, &params, &mem).expect("interp");
+    let run = FabricMachine::new(cfg)
         .run(&program, LaunchInput::new(params, mem))
-        .expect("unbatched run");
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(
+        run.memory, oracle.memory,
+        "{name}: fabric diverges from interpreter"
+    );
+}
 
-    assert_eq!(
-        batched.memory, oracle.memory,
-        "batched diverges from interpreter"
-    );
-    assert_eq!(
-        batched.memory, unbatched.memory,
-        "delivery paths disagree on memory"
-    );
-    assert_eq!(
-        batched.stats, unbatched.stats,
-        "delivery paths disagree on statistics"
-    );
+/// The default machine agrees with the functional interpreter on the
+/// token-storm fixture.
+#[test]
+fn storm_matches_the_interpreter() {
+    let (params, mem) = storm_input();
+    assert_matches_interpreter("storm", &storm_kernel(), params, mem);
+}
+
+/// The default machine agrees with the functional interpreter on the
+/// elevator-storm fixture.
+#[test]
+fn elevator_storm_matches_the_interpreter() {
+    let (params, mem) = elevator_input();
+    assert_matches_interpreter("elevator", &elevator_kernel(), params, mem);
 }
 
 /// The profiler's per-edge token aggregates and the tracer's sampled
 /// token-window counters are two views of the same event stream: the
 /// per-edge totals must equal the per-class totals, and the sampled
 /// windows plus the final unflushed window must account for every token
-/// — with batched delivery exactly as with per-token delivery (a
-/// coalesced delivery reports once per *token*, never once per batch).
+/// (a block-fired node reports once per *token*, never once per block).
 #[test]
 fn profile_and_tracer_token_counts_agree() {
     let kernel = elevator_kernel();
     let cfg = SystemConfig::default();
     let program = compiler::compile(&kernel, &cfg).expect("compiles");
-    let mut totals = Vec::new();
-    for batched in [true, false] {
-        let machine = if batched {
-            FabricMachine::with_batched_delivery(cfg)
-        } else {
-            FabricMachine::with_unbatched_delivery(cfg)
-        };
-        let (params, mem) = elevator_input();
-        let mut obs = Obs::new(true, true);
-        machine
-            .run_observed(&program, LaunchInput::new(params, mem), &mut obs)
-            .expect("observed run");
+    let (params, mem) = elevator_input();
+    let mut obs = Obs::new(true, true);
+    FabricMachine::new(cfg)
+        .run_observed(&program, LaunchInput::new(params, mem), &mut obs)
+        .expect("observed run");
 
-        let per_class: u64 = obs.profile.class_tokens.iter().sum();
-        let per_edge: u64 = obs.profile.edge_tokens.values().sum();
-        let sampled: u64 = obs
-            .tracer
-            .events()
-            .filter_map(|e| match e {
-                TraceEvent::Sample {
-                    direct,
-                    elevator,
-                    eldst,
-                    ..
-                } => Some(direct + elevator + eldst),
-                _ => None,
-            })
-            .sum();
-        let pending: u64 = obs.pending_window_tokens().iter().sum();
-        assert!(per_class > 0, "storm produced no tokens");
-        assert_eq!(
-            per_edge, per_class,
-            "per-edge and per-class profile totals disagree (batched={batched})"
-        );
-        assert_eq!(
-            sampled + pending,
-            per_class,
-            "tracer windows lose or double-count tokens (batched={batched})"
-        );
-        assert_eq!(obs.tracer.dropped(), 0, "ring overflow would void the sum");
-        totals.push(per_class);
-    }
+    let per_class: u64 = obs.profile.class_tokens.iter().sum();
+    let per_edge: u64 = obs.profile.edge_tokens.values().sum();
+    let sampled: u64 = obs
+        .tracer
+        .events()
+        .filter_map(|e| match e {
+            TraceEvent::Sample {
+                direct,
+                elevator,
+                eldst,
+                ..
+            } => Some(direct + elevator + eldst),
+            _ => None,
+        })
+        .sum();
+    let pending: u64 = obs.pending_window_tokens().iter().sum();
+    assert!(per_class > 0, "storm produced no tokens");
     assert_eq!(
-        totals[0], totals[1],
-        "batched and per-token runs observe different token totals"
+        per_edge, per_class,
+        "per-edge and per-class profile totals disagree"
     );
+    assert_eq!(
+        sampled + pending,
+        per_class,
+        "tracer windows lose or double-count tokens"
+    );
+    assert_eq!(obs.tracer.dropped(), 0, "ring overflow would void the sum");
 }
 
 /// The storm through an elevator: each thread receives its left
 /// neighbour's loaded value, so the hot edges cross the re-tagging path
-/// (dMT-only; the elevator's fan-in/fan-out edges batch like any other).
+/// (dMT-only; the elevator itself always fires per token).
 fn elevator_kernel() -> Kernel {
     let mut kb = KernelBuilder::new("token_storm_elev", Dim3::linear(THREADS));
     let inp = kb.param("in");
@@ -244,45 +228,18 @@ fn elevator_input() -> (Vec<Word>, MemImage) {
     (vec![Word::from_u32(0), Word::from_u32(4 * THREADS)], mem)
 }
 
+/// Both fire paths — block-fire and per-token — on both storm fixtures:
+/// each must match the interpreter oracle on memory, and the two must
+/// agree byte-for-byte on `RunStats` and the rendered per-job profile
+/// (the deterministic `BENCH_profile.json` body). The plain storm
+/// replicates past `BATCH_MIN_REPLICATION`
+/// (`storm_compiles_past_the_batching_threshold`), so block-fire
+/// genuinely drains whole ready blocks; the elevator storm covers the
+/// re-tagging path that must stay per-token mid-block.
 #[test]
-fn delivery_paths_agree_on_an_elevator_storm() {
-    let kernel = elevator_kernel();
+fn fire_paths_are_byte_identical() {
     let cfg = SystemConfig::default();
-    let program = compiler::compile(&kernel, &cfg).expect("compiles");
-    let (params, mem) = elevator_input();
-    let oracle = interp::run_ref(&kernel, &params, &mem).expect("interp");
-    let batched = FabricMachine::with_batched_delivery(cfg)
-        .run(&program, LaunchInput::new(params.clone(), mem.clone()))
-        .expect("batched run");
-    let unbatched = FabricMachine::with_unbatched_delivery(cfg)
-        .run(&program, LaunchInput::new(params, mem))
-        .expect("unbatched run");
-
-    assert_eq!(
-        batched.memory, oracle.memory,
-        "batched diverges from interpreter"
-    );
-    assert_eq!(
-        batched.memory, unbatched.memory,
-        "delivery paths disagree on memory"
-    );
-    assert_eq!(
-        batched.stats, unbatched.stats,
-        "delivery paths disagree on statistics"
-    );
-}
-
-/// The full fire × delivery mode grid — {batched, per-token}² — on both
-/// storm fixtures: every combination must match the interpreter oracle
-/// on memory, and all four must agree byte-for-byte on `RunStats` and
-/// the rendered per-job profile (the deterministic `BENCH_profile.json`
-/// body). The plain storm replicates past `BATCH_MIN_REPLICATION`
-/// (`storm_compiles_past_the_batching_threshold`), so the batched-fire
-/// combinations genuinely drain whole ready blocks; the elevator storm
-/// covers the re-tagging path that must stay per-token mid-block.
-#[test]
-fn fire_and_delivery_mode_grid_is_byte_identical() {
-    let cfg = SystemConfig::default();
+    let machine = FabricMachine::new(cfg);
     let fixtures = [
         ("storm", storm_kernel(), storm_input()),
         ("elevator", elevator_kernel(), elevator_input()),
@@ -290,36 +247,25 @@ fn fire_and_delivery_mode_grid_is_byte_identical() {
     for (name, kernel, (params, mem)) in fixtures {
         let program = compiler::compile(&kernel, &cfg).expect("compiles");
         let oracle = interp::run_ref(&kernel, &params, &mem).expect("interp");
-        let mut first = None;
-        for fire in [FireMode::Batched, FireMode::Unbatched] {
-            for delivery in [DeliveryMode::Batched, DeliveryMode::Unbatched] {
-                let mut obs = Obs::new(false, true);
-                let run = FabricMachine::with_modes(cfg, fire, delivery)
-                    .run_observed(
-                        &program,
-                        LaunchInput::new(params.clone(), mem.clone()),
-                        &mut obs,
-                    )
-                    .unwrap_or_else(|e| panic!("{name} {fire:?}×{delivery:?}: {e}"));
-                assert_eq!(
-                    run.memory, oracle.memory,
-                    "{name} {fire:?}×{delivery:?} diverges from the interpreter"
-                );
-                let profile = obs.profile.to_json(10).render();
-                match &first {
-                    None => first = Some((run.stats, profile)),
-                    Some((stats0, profile0)) => {
-                        assert_eq!(
-                            &run.stats, stats0,
-                            "{name} {fire:?}×{delivery:?} changed RunStats"
-                        );
-                        assert_eq!(
-                            &profile, profile0,
-                            "{name} {fire:?}×{delivery:?} changed the profile artifact"
-                        );
-                    }
-                }
-            }
-        }
+        let runs = [true, false].map(|block_fire| {
+            let mut obs = Obs::new(false, true);
+            let input = LaunchInput::new(params.clone(), mem.clone());
+            let run = run_with_block_fire(&machine, &program, input, &mut obs, block_fire)
+                .unwrap_or_else(|e| panic!("{name} block_fire={block_fire}: {e}"));
+            assert_eq!(
+                run.memory, oracle.memory,
+                "{name} block_fire={block_fire} diverges from the interpreter"
+            );
+            (run.stats, obs.profile.to_json(10).render())
+        });
+        let [(block_stats, block_profile), (token_stats, token_profile)] = runs;
+        assert_eq!(
+            block_stats, token_stats,
+            "{name}: fire paths disagree on RunStats"
+        );
+        assert_eq!(
+            block_profile, token_profile,
+            "{name}: fire paths disagree on the profile artifact"
+        );
     }
 }
