@@ -78,13 +78,15 @@ perf-full:
 		--full --json artifacts/BENCH_hotpath_full.json
 
 # CI job (scheduled): proptest-deep — the differential property suites
-# at 16x the push-path case count. DMT_PROPTEST_CASES overrides every
-# suite's configured count; the vendored proptest scales its rejection
-# budget to match. Override locally: make proptest-deep DEEP_CASES=512.
+# and the JSON codec fuzz at 2048 cases per property, far above the
+# push-path counts.
+# DMT_PROPTEST_CASES overrides every suite's configured count; the
+# vendored proptest scales its rejection budget to match. Override
+# locally: make proptest-deep DEEP_CASES=512.
 DEEP_CASES ?= 2048
 proptest-deep:
 	DMT_PROPTEST_CASES=$(DEEP_CASES) cargo test -q --locked \
-		--test properties --test token_storm
+		--test properties --test token_storm --test json_codec
 
 # CI job: serve-smoke — boot the daemon, race 4 clients through the
 # smoke grid over TCP, assert byte-identical results, memoized

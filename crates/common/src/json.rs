@@ -9,6 +9,13 @@
 //! cycle engines) can emit and consume the same documents;
 //! `dmt_runner::artifact::Json` re-exports it, so the rendered bytes of
 //! every existing artifact are unchanged.
+//!
+//! [`Json::parse`] is one linear pass over its input. The input is a
+//! `&str`, so it is valid UTF-8 already and the parser never validates
+//! it again: each run of string content between delimiters is copied
+//! out with one slice and one `push_str`. Parse time therefore grows
+//! with document size, not with its square — the result cache and
+//! `dmt-serve` parse multi-kilobyte entries on every warm hit.
 
 use std::fmt::Write as _;
 
@@ -179,11 +186,15 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with a byte offset for malformed input —
-    /// callers (the result cache) treat any error as a miss.
+    /// callers (the result cache) treat any error as a miss. Arrays and
+    /// objects nested more than 128 deep are rejected the same way, so
+    /// untrusted input cannot exhaust the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -243,11 +254,22 @@ impl Json {
     }
 }
 
-/// Recursive-descent parser over the raw bytes (JSON structure is ASCII;
-/// string contents pass through as UTF-8).
+/// How deeply arrays and objects may nest. The writer's deepest document
+/// is a handful of levels; the bound keeps a hostile `[[[[…` line from
+/// overflowing the stack of the recursive descent.
+const MAX_DEPTH: usize = 128;
+
+/// Recursive-descent parser over the input text. JSON structure is
+/// ASCII, so every position the parser stops at — a structural byte, a
+/// string delimiter, the end of an escape — is a char boundary of the
+/// (already valid UTF-8) `text`, and string runs are copied out by
+/// slicing it.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Open arrays and objects around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -285,8 +307,20 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_lit("true", Json::Bool(true)),
             Some(b'f') => self.eat_lit("false", Json::Bool(false)),
@@ -351,54 +385,53 @@ impl Parser<'_> {
         let start = self.pos;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(format!("unterminated string at byte {start}")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("unterminated escape at byte {}", self.pos))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => out.push(self.unicode_escape()?),
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (structure bytes are ASCII,
-                    // so multi-byte sequences only occur inside strings).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy everything up to the next delimiter in one go. Both
+            // delimiters are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| format!("unterminated string at byte {start}"))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
+            }
+            self.pos += 1;
+            let esc = self
+                .peek()
+                .ok_or_else(|| format!("unterminated escape at byte {}", self.pos))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => out.push(self.unicode_escape()?),
+                _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
             }
         }
     }
 
+    /// Four hex digits of a `\u` escape (ASCII only, so the position
+    /// after them stays a char boundary).
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
-        let hex = self
+        let digits = self
             .bytes
-            .get(self.pos..end)
-            .and_then(|b| std::str::from_utf8(b).ok())
+            .get(self.pos..self.pos + 4)
             .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
-        let v = u32::from_str_radix(hex, 16)
-            .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-        self.pos = end;
+        let mut v = 0;
+        for &b in digits {
+            let d = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            v = (v << 4) | d;
+        }
+        self.pos += 4;
         Ok(v)
     }
 
@@ -436,7 +469,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        let text = &self.text[start..self.pos];
         if float || text.starts_with('-') {
             text.parse::<f64>()
                 .map(Json::F64)
@@ -619,11 +652,55 @@ mod tests {
             "\"unterminated",
             "\"bad \\q escape\"",
             "\"\\ud800 lone\"",
+            "\"\\u+041\"",
+            "\"\\u00e",
+            "\"abc\\",
             "nul",
             "01x",
             "1.2.3",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert_eq!(
+            Json::parse(&nested(MAX_DEPTH)).unwrap().render_compact(),
+            nested(MAX_DEPTH)
+        );
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // Far past any stack the recursion could survive unbounded.
+        assert!(Json::parse(&"{\"k\":".repeat(1 << 20)).is_err());
+    }
+
+    /// A regression to per-character work over the rest of the document
+    /// (re-validating it as UTF-8, say) turns this test from milliseconds
+    /// into hours, so it hangs the suite visibly rather than slowing it.
+    #[test]
+    fn parse_is_linear_in_document_size() {
+        // ASCII, 2-, 3- and 4-byte UTF-8 and every escape the writer
+        // emits, with multibyte chars directly before an escape.
+        let chunk = "ascii é\n€\"😀\u{1}\u{1f}ü\\\t";
+        let mut big = chunk.repeat((1 << 20) / chunk.len() + 1);
+        big.push('𝄞'); // multibyte char directly before the closing quote
+        let mut doc = Json::obj().with("big", big.as_str());
+        for k in 0..10_000u64 {
+            doc = doc.with(&format!("k{k}"), k);
+        }
+        for text in [doc.render(), doc.render_compact()] {
+            assert!(text.len() > 1 << 20);
+            assert!(text.contains("é\\n") && text.contains("𝄞\""));
+            assert!(Json::parse(&text).unwrap() == doc);
+            // The same document with every non-BMP char of the string
+            // spelled as a surrogate-pair escape.
+            let foreign = text.replace('😀', "\\ud83d\\ude00");
+            assert!(Json::parse(&foreign).unwrap() == doc);
         }
     }
 

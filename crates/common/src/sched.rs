@@ -254,22 +254,6 @@ impl<T> CalendarQueue<T> {
         item
     }
 
-    /// Drains every event due at the current cycle (set via
-    /// [`CalendarQueue::advance`]) into `out`, preserving FIFO order —
-    /// equivalent to popping [`CalendarQueue::pop_due`] until `None`,
-    /// but with one occupancy-bitmap update for the whole bucket.
-    pub fn drain_due_into(&mut self, out: &mut Vec<T>) {
-        let slot = Self::slot_of(self.now);
-        if self.occupied[slot / 64] & (1 << (slot % 64)) != 0 {
-            let bucket = &mut self.wheel[slot];
-            self.len -= bucket.len();
-            out.extend(bucket.drain(..));
-            self.release(slot);
-        }
-        self.len -= self.cur_lane.len();
-        out.extend(self.cur_lane.drain(..));
-    }
-
     /// The cycle of the earliest pending event, or `None` when empty.
     /// Used by the engines to jump over idle gaps.
     #[must_use]
@@ -429,15 +413,6 @@ mod tests {
         assert_eq!(q.pop_due(), Some(2));
         assert_eq!(q.pop_due(), None);
         assert!(q.is_empty());
-        // Same shape through the bulk drain path.
-        q.schedule(4, 3u32);
-        q.advance(3);
-        q.schedule(4, 4u32);
-        q.advance(4);
-        let mut out = Vec::new();
-        q.drain_due_into(&mut out);
-        assert_eq!(out, vec![3, 4]);
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -450,28 +425,6 @@ mod tests {
         q.advance(700);
         let _ = q.pop_due();
         assert_eq!(q.next_time(), Some(900));
-    }
-
-    #[test]
-    fn drain_due_matches_repeated_pops() {
-        let mut q = CalendarQueue::new();
-        let t = WHEEL_HORIZON + 7;
-        q.schedule(t, 1u32); // overflows, drains back first
-        q.schedule(3, 2u32);
-        q.schedule(3, 3u32);
-        q.advance(3);
-        let mut out = Vec::new();
-        q.drain_due_into(&mut out);
-        assert_eq!(out, vec![2, 3]);
-        assert_eq!(q.len(), 1);
-        q.drain_due_into(&mut out); // empty bucket: no-op
-        assert_eq!(out.len(), 2);
-        q.advance(t);
-        q.schedule(t + 1, 4u32);
-        q.drain_due_into(&mut out);
-        assert_eq!(out, vec![2, 3, 1]);
-        assert_eq!(q.next_time(), Some(t + 1));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

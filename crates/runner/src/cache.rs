@@ -72,7 +72,15 @@
 //! schedule: [`Cache::cost_index`] scans the completed entries into a
 //! `(bench, arch) → max cycles` table and [`cost_order`] sorts pending
 //! jobs by that estimate (grid order on a cold cache). See
-//! [`crate::plan::ExecPlan`].
+//! [`crate::plan::ExecPlan`], which scans once per run that has misses.
+//!
+//! A long-lived process does not rescan per batch. The `dmt-serve`
+//! daemon scans once at boot and keeps the [`CostIndex`] in memory
+//! under its state lock, calling [`CostIndex::record`] for each
+//! completed job it stores. Its index therefore matches a fresh scan
+//! for every entry the daemon wrote itself. Entries that another
+//! process writes into the directory later are not in it; they only
+//! affect the order of a batch, never a result.
 
 use crate::artifact::{Json, SCHEMA_VERSION};
 use crate::job::{JobMetrics, JobOutcome, JobSpec};

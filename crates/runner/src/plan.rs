@@ -12,10 +12,12 @@
 //!
 //! * **deterministic aggregation** — outcomes land by job index, so the
 //!   result vector is byte-identical for any thread count;
-//! * **cache-as-memo-table** — with a cache, hits skip simulation,
-//!   misses run longest-expected-first (cost-sorted against the cache's
-//!   cycle history) and persist via temp-file+rename as soon as each
-//!   completes, so a killed run resumes from exactly the jobs it
+//! * **cache-as-memo-table** — with a cache, hits skip simulation and
+//!   resolve on the same worker pool (every lookup reads, parses and
+//!   validates its entry; with one thread they run inline in grid
+//!   order), misses run longest-expected-first (cost-sorted against the
+//!   cache's cycle history) and persist via temp-file+rename as soon as
+//!   each completes, so a killed run resumes from exactly the jobs it
 //!   finished;
 //! * **completion-ordered progress** — the ticker counts only jobs
 //!   actually executed; hits are summarized by [`Cache::report`];
@@ -174,7 +176,11 @@ impl<'a> ExecPlan<'a> {
                 outcome
             });
         };
-        let mut slots: Vec<Option<JobOutcome>> = jobs.iter().map(|j| cache.lookup(j)).collect();
+        // Hits resolve on the pool too: a warm lookup reads, parses and
+        // validates a multi-kilobyte entry. `threads(1)` keeps them inline
+        // in grid order, so `cache.read` fault ordinals stay reproducible.
+        let mut slots: Vec<Option<JobOutcome>> =
+            run_ordered(jobs.len(), self.threads, None, |i| cache.lookup(&jobs[i]));
         let pending: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
         if let Some(p) = self.progress {
             p.begin(pending.len());
@@ -363,6 +369,33 @@ mod tests {
             Some("injected fault: pool.exec"),
             "typed, attributable failure"
         );
+    }
+
+    #[test]
+    fn serial_warm_lookups_keep_cache_read_faults_in_grid_order() {
+        let dir = std::env::temp_dir().join(format!("dmt_plan_read_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::open(&dir).unwrap();
+        let grid = jobs(4);
+        {
+            let _faults = crate::fault_free();
+            for spec in &grid {
+                cache.store(spec, &exec(spec)).unwrap();
+            }
+        }
+        let _guard = dmt_common::faults::install_guarded(
+            dmt_common::faults::FaultPlan::parse("cache.read:nth=3").unwrap(),
+        );
+        let ran = std::sync::Mutex::new(Vec::new());
+        let outcomes = ExecPlan::new(&grid)
+            .cache(Some(&cache))
+            .run(|spec: &JobSpec| {
+                ran.lock().unwrap().push(spec.seed);
+                exec(spec)
+            });
+        assert_eq!(*ran.lock().unwrap(), [2], "read 3 is job index 2's lookup");
+        assert_eq!(outcomes, ExecPlan::new(&grid).run(exec));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

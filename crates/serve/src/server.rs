@@ -6,10 +6,12 @@
 //! and one dispatcher thread. All shared state is [`Inner`] behind a
 //! single mutex plus a condvar the dispatcher waits on; executors run
 //! outside the lock. The dispatcher takes the whole admission queue as
-//! a batch, sorts it by [`cost_order`] (longest first, from the cache's
-//! observed costs), and runs it on the runner's index-ordered pool — so
-//! an idle daemon that receives a grid schedules it exactly like the
-//! batch runner would.
+//! a batch, sorts it by [`cost_order`] (longest first, from the cycle
+//! costs in [`Inner::costs`]), and runs it on the runner's index-ordered
+//! pool — so an idle daemon that receives a grid schedules it exactly
+//! like the batch runner would. The cost table is read from the cache
+//! once at boot and kept current as jobs complete, so dispatching a
+//! batch costs no cache reads.
 //!
 //! # Failure handling
 //!
@@ -130,13 +132,17 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let cache = Cache::open(cache_dir)?;
+        let inner = Inner {
+            costs: cache.cost_index(),
+            ..Inner::default()
+        };
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
                 opts,
                 cache,
                 exec,
-                inner: Mutex::new(Inner::default()),
+                inner: Mutex::new(inner),
                 work: Condvar::new(),
             }),
         })
@@ -236,20 +242,19 @@ fn dispatch(shared: &Shared) {
                     .unwrap_or_else(PoisonError::into_inner);
                 inner = guard;
             }
+            // Longest-first over the whole batch, from the observed
+            // costs — the same policy the batch runner applies to misses.
             let hashes = std::mem::take(&mut inner.queue);
-            hashes.iter().map(|h| inner.jobs[h].spec.clone()).collect()
+            let specs: Vec<&JobSpec> = hashes.iter().map(|h| &inner.jobs[h].spec).collect();
+            let order = cost_order(&specs, &inner.costs);
+            order.iter().map(|&i| specs[i].clone()).collect()
         };
-        // Longest-first over the whole batch, from the cache's observed
-        // costs — the same policy the batch runner applies to misses.
-        let refs: Vec<&JobSpec> = batch.iter().collect();
-        let order = cost_order(&refs, &shared.cache.cost_index());
-        let sorted: Vec<JobSpec> = order.iter().map(|&i| batch[i].clone()).collect();
         // run_indexed rather than ExecPlan: the daemon does its own
         // outcome accounting (retry, timed_out, history) in run_one, and
         // the plan's job-level fault isolation would produce outcomes
         // outside that accounting.
-        dmt_runner::run_indexed(sorted.len(), shared.opts.threads, |i| {
-            run_one(shared, &sorted[i]);
+        dmt_runner::run_indexed(batch.len(), shared.opts.threads, |i| {
+            run_one(shared, &batch[i]);
         });
     }
 }
@@ -290,14 +295,17 @@ fn run_one(shared: &Shared, spec: &JobSpec) {
     };
     // The cache itself refuses transient and timed-out outcomes; this
     // guard just skips the I/O (and the store-failure warning) for them.
-    if outcome.cacheable() {
-        if let Err(e) = shared.cache.store(spec, &outcome) {
-            eprintln!(
-                "[dmt-serve] warning: cache store failed for {spec}: {e} ({})",
-                shared.cache.entry_path(spec).display()
-            );
-        }
-    }
+    let stored = outcome.cacheable()
+        && match shared.cache.store(spec, &outcome) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!(
+                    "[dmt-serve] warning: cache store failed for {spec}: {e} ({})",
+                    shared.cache.entry_path(spec).display()
+                );
+                false
+            }
+        };
     let record = AttemptRecord {
         status: outcome.status(),
         wall_ms: ms,
@@ -305,6 +313,12 @@ fn run_one(shared: &Shared, spec: &JobSpec) {
     };
     let key = protocol::hash_str(hash);
     let mut inner = lock_inner(shared);
+    if let (true, Some(metrics)) = (stored, outcome.metrics()) {
+        // Exactly what a rescan of the cache would now find for this job.
+        inner
+            .costs
+            .record(&spec.bench, spec.arch.key(), metrics.cycles());
+    }
     match &outcome {
         JobOutcome::Completed(_) | JobOutcome::Infeasible(_) => {
             if let Some(entry) = inner.jobs.get_mut(&hash) {

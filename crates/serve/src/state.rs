@@ -5,6 +5,7 @@
 //! table only tracks the current process's view.
 
 use dmt_obs::Histogram;
+use dmt_runner::cache::CostIndex;
 use dmt_runner::JobSpec;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -118,4 +119,8 @@ pub struct Inner {
     pub latency: [Histogram; crate::protocol::VERBS.len()],
     /// Request lines that failed to parse (no verb to attribute).
     pub bad_requests: u64,
+    /// The dispatcher's longest-first cost table: seeded from the cache
+    /// at boot, then updated by every completed job this process stores,
+    /// so no batch re-reads the cache directory.
+    pub costs: CostIndex,
 }

@@ -22,7 +22,9 @@
 //!    permanently, without retry, and without poisoning the cache;
 //! 9. a client disconnecting mid-request neither wedges the daemon nor
 //!    leaks its work: other clients keep being served and drain is
-//!    clean.
+//!    clean;
+//! 10. the dispatcher runs each batch longest-first from costs it read
+//!     at boot or observed itself, without re-reading the cache.
 
 use dmt_runner::artifact::Json;
 use dmt_runner::JobOutcome;
@@ -761,4 +763,62 @@ fn retry_hints_are_deterministic_across_daemons() {
         runs.push(hints);
     }
     assert_eq!(runs[0], runs[1], "hints must not depend on the clock");
+}
+
+#[test]
+fn batches_run_longest_first_from_costs_seen_at_boot_or_since() {
+    use dmt_runner::JobMetrics;
+    let dir = scratch("cost_order");
+    let ran = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let exec = || -> Executor {
+        let ran = Arc::clone(&ran);
+        Box::new(move |spec, _| {
+            ran.lock().unwrap().push(spec.bench.clone());
+            JobOutcome::completed(JobMetrics {
+                kernel: spec.bench.clone(),
+                stats: dmt_common::stats::RunStats {
+                    cycles: if spec.bench == "long" { 1_000 } else { 10 },
+                    ..Default::default()
+                },
+                energy: dmt_core::energy::EnergyReport::default(),
+            })
+        })
+    };
+    let opts = || ServeOptions {
+        threads: 1,
+        ..ServeOptions::default()
+    };
+    // One submit is one batch: both jobs are admitted under one lock hold.
+    let batch = |c: &mut Client, seed: u64| {
+        let resp = c.req(&format!(
+            r#"{{"verb":"submit","jobs":[{{"bench":"short","arch":"mt_cgra","seed":{seed}}},{{"bench":"long","arch":"mt_cgra","seed":{seed}}}]}}"#
+        ));
+        assert!(ok(&resp), "{resp:?}");
+        for h in hashes(&resp) {
+            c.wait_done(&h);
+        }
+    };
+
+    let (addr, handle) = boot(&dir, opts(), exec());
+    let mut c = Client::connect(addr);
+    batch(&mut c, 1); // cold: no costs known, grid order
+                      // Empty the cache directory: only the daemon's own record of the
+                      // first batch can order the second one.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        std::fs::remove_file(entry.unwrap().path()).unwrap();
+    }
+    batch(&mut c, 2);
+    c.req(r#"{"verb":"drain"}"#);
+    handle.join().unwrap();
+
+    // A restarted daemon seeds its costs from the second batch's entries.
+    let (addr, handle) = boot(&dir, opts(), exec());
+    let mut c = Client::connect(addr);
+    batch(&mut c, 3);
+    c.req(r#"{"verb":"drain"}"#);
+    handle.join().unwrap();
+    assert_eq!(
+        *ran.lock().unwrap(),
+        ["short", "long", "long", "short", "long", "short"]
+    );
 }
